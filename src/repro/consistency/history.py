@@ -9,8 +9,7 @@ consistency or TSO.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.consistency.ops import Ordering
 
@@ -23,13 +22,13 @@ class EventKind(enum.Enum):
     FENCE = "fence"
 
 
-@dataclass(frozen=True)
-class HistoryEvent:
+class HistoryEvent(NamedTuple):
     """One committed/performed memory event.
 
     For stores, ``value`` is the value written; for loads, the value read.
     ``uid`` is unique per event; stores in litmus programs write unique values
-    so reads-from edges are unambiguous.
+    so reads-from edges are unambiguous.  A tuple-backed value type: every
+    timed commit records one, so construction must stay cheap.
     """
 
     uid: int
@@ -49,6 +48,11 @@ class HistoryEvent:
         return self.kind is EventKind.LOAD
 
 
+#: Builds a :class:`HistoryEvent` from all seven fields in one C call,
+#: without the generated constructor's Python frame (one per commit).
+_new_event = tuple.__new__
+
+
 class ExecutionHistory:
     """An append-only log of events, grouped by core in program order."""
 
@@ -66,10 +70,8 @@ class ExecutionHistory:
         addr: Optional[int] = None,
         value: Optional[int] = None,
     ) -> HistoryEvent:
-        event = HistoryEvent(
-            uid=self._next_uid, core=core, program_index=program_index,
-            kind=kind, ordering=ordering, addr=addr, value=value,
-        )
+        event = _new_event(HistoryEvent, (self._next_uid, core, program_index,
+                                          kind, ordering, addr, value))
         self._next_uid += 1
         self._events.append(event)
         return event

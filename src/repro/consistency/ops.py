@@ -21,13 +21,11 @@ class Ordering(enum.Enum):
     ACQUIRE = "acq"
     ACQ_REL = "acq_rel"
 
-    @property
-    def is_release(self) -> bool:
-        return self in (Ordering.RELEASE, Ordering.ACQ_REL)
-
-    @property
-    def is_acquire(self) -> bool:
-        return self in (Ordering.ACQUIRE, Ordering.ACQ_REL)
+    def __init__(self, value: str) -> None:
+        # Plain member attributes rather than properties: every issued
+        # store and load reads one, and an attribute read is not a call.
+        self.is_release = value in ("rel", "acq_rel")
+        self.is_acquire = value in ("acq", "acq_rel")
 
 
 class Policy(enum.Enum):

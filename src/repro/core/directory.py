@@ -67,8 +67,8 @@ class CordDirectoryState:
     # Alg. 2 lines 18-20: Relaxed stores commit immediately.
     # ------------------------------------------------------------------
     def on_relaxed(self, meta: RelaxedMeta) -> None:
-        count = self.store_counters.get(meta.proc, meta.epoch, 0)
-        self.store_counters.put(meta.proc, meta.epoch, count + 1)
+        counters = self.store_counters.partition(meta.proc)
+        counters.put(meta.epoch, counters.get(meta.epoch, 0) + 1)
         self.relaxed_committed += 1
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ This class is pure state — no I/O, no timing — so the timed protocol actors
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import CordConfig
 from repro.core.messages import (
@@ -130,12 +130,14 @@ class CordProcessorState:
     # Stall checks (§4.3)
     # ------------------------------------------------------------------
     def relaxed_stall_reason(self, directory: int) -> Optional[StallReason]:
-        if directory not in self.store_counters and self.store_counters.full:
-            return StallReason(
-                "proc-store-counter-full",
-                f"no free store-counter entry for directory {directory}",
-            )
-        count = self.store_counters.get(directory, 0)
+        count = self.store_counters.get(directory)
+        if count is None:
+            if self.store_counters.full:
+                return StallReason(
+                    "proc-store-counter-full",
+                    f"no free store-counter entry for directory {directory}",
+                )
+            count = 0
         if count + 1 >= self.config.counter_modulus:
             return StallReason(
                 "store-counter-overflow",
@@ -182,17 +184,32 @@ class CordProcessorState:
     # ------------------------------------------------------------------
     # Algorithm 1
     # ------------------------------------------------------------------
-    def on_relaxed_store(self, directory: int) -> RelaxedMeta:
-        """Issue a Relaxed store to ``directory`` (Alg. 1 lines 1-4)."""
+    def try_relaxed_store(
+        self, directory: int
+    ) -> Union[RelaxedMeta, StallReason]:
+        """Issue a Relaxed store to ``directory`` if §4.3 allows it
+        (Alg. 1 lines 1-4), evaluating the stall check once.
+
+        Returns the :class:`StallReason` without mutating anything when
+        the store must stall; otherwise bumps the directory's store
+        counter and returns the store's :class:`RelaxedMeta`.
+        """
         reason = self.relaxed_stall_reason(directory)
         if reason is not None:
-            raise RuntimeError(f"relaxed store must stall: {reason}")
-        count = self.store_counters.get(directory, 0)
-        self.store_counters.put(directory, count + 1)
+            return reason
+        count = self.store_counters.get(directory, 0) + 1
+        self.store_counters.put(directory, count)
         self.relaxed_issued += 1
         if self.on_transition is not None:
-            self.on_transition(f"store_counter.d{directory}", count + 1)
+            self.on_transition(f"store_counter.d{directory}", count)
         return RelaxedMeta(proc=self.proc, epoch=self.epoch.value)
+
+    def on_relaxed_store(self, directory: int) -> RelaxedMeta:
+        """Issue a Relaxed store to ``directory``; raises if it must stall."""
+        issued = self.try_relaxed_store(directory)
+        if isinstance(issued, StallReason):
+            raise RuntimeError(f"relaxed store must stall: {issued}")
+        return issued
 
     def on_release_store(
         self, directory: int, barrier: bool = False

@@ -53,15 +53,18 @@ class BoundedTable(Generic[K, V]):
         return self._entries.get(key, default)
 
     def put(self, key: K, value: V) -> None:
-        if key not in self._entries and self.full:
+        entries = self._entries
+        if key in entries:
+            entries[key] = value    # an update never changes occupancy
+            return
+        if len(entries) >= self.capacity:
             raise TableFullError(
                 f"table {self.name!r} full ({self.capacity} entries)"
             )
-        if key not in self._entries:
-            self.insertions += 1
-        self._entries[key] = value
-        if len(self._entries) > self.peak_occupancy:
-            self.peak_occupancy = len(self._entries)
+        self.insertions += 1
+        entries[key] = value
+        if len(entries) > self.peak_occupancy:
+            self.peak_occupancy = len(entries)
 
     def remove(self, key: K) -> Optional[V]:
         return self._entries.pop(key, None)

@@ -99,6 +99,29 @@ class SetAssocCache:
             existing.state = state
             cache_set.move_to_end(line_addr)
             return None
+        return self._fill(cache_set, line_addr, state)
+
+    def write(self, addr: int, state: MesiState) -> Optional[Eviction]:
+        """Put ``addr``'s line in ``state`` with one set probe.
+
+        A valid line changes state in place without touching LRU order
+        (as :meth:`set_state`); an absent or INVALID line is installed as
+        by :meth:`insert`.  Returns the eviction it forced, if any.
+        """
+        line_bytes = self.line_bytes
+        line_addr = addr - addr % line_bytes
+        cache_set = self._sets[line_addr // line_bytes % self.sets]
+        line = cache_set.get(line_addr)
+        if line is None:
+            return self._fill(cache_set, line_addr, state)
+        if line.state is MesiState.INVALID:
+            cache_set.move_to_end(line_addr)
+        line.state = state
+        return None
+
+    def _fill(self, cache_set: "OrderedDict[int, CacheLine]", line_addr: int,
+              state: MesiState) -> Optional[Eviction]:
+        """Install an absent line, evicting the set's LRU line if full."""
         eviction = None
         if len(cache_set) >= self.ways:
             victim_addr, victim = cache_set.popitem(last=False)

@@ -56,15 +56,10 @@ class LlcSlice:
         slice access (DRAM traffic on miss/eviction)."""
         self.write_through_commits += 1
         self.bytes_committed += size_bytes
-        extra_ns = 0.0
-        line_addr = self.storage.line_address(addr)
-        if not self.storage.contains(line_addr):
-            eviction = self.storage.insert(line_addr, MesiState.MODIFIED)
-            if eviction is not None and eviction.dirty:
-                extra_ns += self.dram.write(self.storage.line_bytes)
-        else:
-            self.storage.set_state(line_addr, MesiState.MODIFIED)
-        return extra_ns
+        eviction = self.storage.write(addr, MesiState.MODIFIED)
+        if eviction is not None and eviction.dirty:
+            return self.dram.write(self.storage.line_bytes)
+        return 0.0
 
     def read_line(self, addr: int) -> float:
         """Serve a read; returns extra latency (DRAM fill on miss)."""

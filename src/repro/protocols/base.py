@@ -16,7 +16,7 @@ service latency, and history recording.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator
 
 from repro.consistency.history import EventKind
 from repro.consistency.ops import AtomicOp, MemOp, Ordering
@@ -44,6 +44,10 @@ class CorePort(abc.ABC):
         self.config = core.machine.config
         self.sizes = core.machine.config.message_sizes
         self.node: NodeId = core.node_id
+        #: ``home(addr)`` -> the line's home directory node; bound once,
+        #: since every store and load resolves one.
+        self.home: Callable[[int], NodeId] = (
+            core.machine.address_map.home_directory)
         self._load_waiters: Dict[int, Any] = {}
         self._next_req = 0
         # Source-side write-combining buffer (§2.1); inert when the config
@@ -58,9 +62,6 @@ class CorePort(abc.ABC):
         # cause -> (global counter, per-core counter); stall() runs on the
         # hot path and must not re-resolve registry names per call.
         self._stall_counters: Dict[str, Any] = {}
-
-    def home(self, addr: int) -> NodeId:
-        return self.machine.address_map.home_directory(addr)
 
     def stall(self, cause: str, duration_ns: float) -> None:
         """Account stall time against this core (Fig. 2's wait breakdown).
@@ -280,23 +281,23 @@ class DirectoryNode:
     # ------------------------------------------------------------------
     def commit_store(self, message: Message) -> None:
         """Make a store visible: update values, LLC state and the history."""
+        # Every store payload carries addr, value, size, proc,
+        # program_index and ordering; only write-combined stores carry
+        # values, and only Releases carry barrier.
         payload = message.payload
         addr = payload["addr"]
-        if payload.get("values"):
+        value = payload["value"]
+        values = payload.get("values")
+        if values:
             # Write-combined store: apply the coalesced per-address values.
-            self.values.update(payload["values"])
-        elif payload.get("value") is not None:
-            self.values[addr] = payload["value"]
-        self.llc.commit_write_through(addr, payload.get("size", 8))
+            self.values.update(values)
+        elif value is not None:
+            self.values[addr] = value
+        self.llc.commit_write_through(addr, payload["size"])
         if not payload.get("barrier", False):
             self.machine.history.record(
-                core=payload["proc"],
-                program_index=payload["program_index"],
-                kind=EventKind.STORE,
-                ordering=payload.get("ordering", Ordering.RELAXED),
-                addr=addr,
-                value=payload.get("value"),
-            )
+                payload["proc"], payload["program_index"], EventKind.STORE,
+                payload["ordering"], addr, value)
 
     def read_value(self, addr: int) -> int:
         return self.values.get(addr, 0)

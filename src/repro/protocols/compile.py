@@ -81,7 +81,7 @@ G_SEQ_WINDOW = 5      # issued-since-flush watermark (timed form)
 # Action opcodes: what issuing emits.  A_CALL = run rule.effects.
 A_CALL = 0
 A_SO_STORE = 1        # so_outstanding += 1; emit wt_store
-A_CORD_RELAXED = 2    # on_relaxed_store; emit wt_rlx
+A_CORD_RELAXED = 2    # try_relaxed_store (one check with G_CORD_RELAXED); emit wt_rlx
 A_CORD_RELEASE = 3    # on_release_store; emit req_notify*, wt_rel
 A_SEQ_STORE = 4       # seq counters; emit seq_store
 A_MP_POSTED = 5       # emit posted (no state)

@@ -27,7 +27,7 @@ from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple, Type
 
 from repro.consistency.ops import MemOp, Ordering
 from repro.core.directory import CordDirectoryState
-from repro.core.processor import CordProcessorState
+from repro.core.processor import CordProcessorState, StallReason
 from repro.interconnect.message import Message
 from repro.protocols.base import CorePort, DirectoryNode
 from repro.protocols.compile import (
@@ -52,6 +52,7 @@ from repro.protocols.compile import (
     D_WT_REL,
     D_WT_RLX,
     D_WT_STORE,
+    G_CORD_RELAXED,
     compile_spec,
 )
 from repro.protocols.spec import (
@@ -264,6 +265,9 @@ class TableCorePort(CorePort):
         self._store_escape_flush = self._rule_store_t.escape == "flush"
         self._relaxed_combining = self._rule_store_f.combining
         self._relaxed_barrier = self._rule_store_f.escape == "barrier"
+        relaxed = self._rule_store_f
+        self._fused_relaxed = (fast and relaxed.guard_op == G_CORD_RELAXED
+                               and relaxed.action_op == A_CORD_RELAXED)
         self._wc_enabled = self.wc.enabled
         self._core_ctx = _TimedCoreCtx(self)
         # wire msg_type -> (canonical name, core-side rule, delivery
@@ -371,21 +375,6 @@ class TableCorePort(CorePort):
         back to driving ``rule.effects`` through :meth:`_send_emit`.
         """
         aop = rule.action_op if self._fast else A_CALL
-        if aop == A_CORD_RELAXED:
-            mid = rule.emit_mids[0]
-            self.network.send(Message(
-                src=self.node,
-                dst=self._dir_ids[dir_index],
-                msg_type=self._wire_names[mid],
-                size_bytes=self._data_bytes(mid, size),
-                control=self._msg_control[mid],
-                payload={"addr": addr, "value": value, "size": size,
-                         "values": values, "proc": self._cid,
-                         "program_index": program_index,
-                         "ordering": ordering,
-                         "meta": self.cord.on_relaxed_store(dir_index)},
-            ))
-            return
         if aop == A_SO_STORE or aop == A_MP_POSTED:
             if aop == A_SO_STORE:
                 self.so_outstanding += 1
@@ -513,17 +502,14 @@ class TableCorePort(CorePort):
         elif self._relaxed_combining and self._wc_enabled:
             yield from self.wc_store(op, program_index)
         elif self._relaxed_barrier:
-            # Common case first: the guard is pure, so probing it costs
-            # nothing and the non-stalling store (the overwhelming
-            # majority) skips a nested generator per issue.
-            rule = self._rule_store_f
-            if rule.guard(self, home_index) is None:
-                self._issue_and_send(rule, op.addr, op.size, op.value,
-                                     program_index, home_index,
-                                     Ordering.RELAXED)
-            else:
+            # Common case first: the non-stalling store (the overwhelming
+            # majority) issues without a nested generator.
+            reason = self._try_relaxed(op.addr, op.size, op.value,
+                                       program_index, home_index)
+            if reason is not None:
                 yield from self._emit_relaxed_to(
-                    op.addr, op.size, op.value, program_index, home_index)
+                    op.addr, op.size, op.value, program_index, home_index,
+                    reason=reason)
         else:
             self._issue_and_send(self._rule_store_f, op.addr, op.size,
                                  op.value, program_index, home_index,
@@ -539,20 +525,53 @@ class TableCorePort(CorePort):
         self._issue_and_send(rule, op.addr, op.size, op.value, program_index,
                              dir_index, op.ordering, barrier=barrier)
 
+    def _try_relaxed(self, addr: int, size: int, value, program_index: int,
+                     dir_index: int, values=None) -> Optional[StallReason]:
+        """One issue attempt of the Relaxed row: send the store and return
+        None, or return the stall reason and change nothing.
+
+        The compiled CORD row evaluates the §4.3 check once, fused with
+        the issue (:meth:`CordProcessorState.try_relaxed_store`); other
+        rows, and interpreted mode, probe the guard and then run the row.
+        """
+        rule = self._rule_store_f
+        if self._fused_relaxed:
+            meta = self.cord.try_relaxed_store(dir_index)
+            if isinstance(meta, StallReason):
+                return meta
+            mid = rule.emit_mids[0]
+            self.network.send(Message(
+                src=self.node,
+                dst=self._dir_ids[dir_index],
+                msg_type=self._wire_names[mid],
+                size_bytes=self._data_bytes(mid, size),
+                control=self._msg_control[mid],
+                payload={"addr": addr, "value": value, "size": size,
+                         "values": values, "proc": self._cid,
+                         "program_index": program_index,
+                         "ordering": Ordering.RELAXED, "meta": meta},
+            ))
+            return None
+        reason = rule.guard(self, dir_index)
+        if reason is None:
+            self._issue_and_send(rule, addr, size, value, program_index,
+                                 dir_index, Ordering.RELAXED, values=values)
+        return reason
+
     def _emit_relaxed_to(self, addr: int, size: int, value,
                          program_index: int, dir_index: int,
-                         values=None) -> Generator:
+                         values=None, reason=None) -> Generator:
         """Relaxed row with the ``"barrier"`` escape (CORD §4.4): clear the
-        rare stall conditions by injecting empty barrier Releases."""
-        rule = self._rule_store_f
-        while True:
-            reason = rule.guard(self, dir_index)
-            if reason is None:
-                break
+        rare stall conditions by injecting empty barrier Releases.
+        ``reason`` is the stall the caller's own attempt already hit."""
+        if reason is None:
+            reason = self._try_relaxed(addr, size, value, program_index,
+                                       dir_index, values)
+        while reason is not None:
             self.cord.record_stall(reason)
             yield from self._barrier_release(dir_index, program_index)
-        self._issue_and_send(rule, addr, size, value, program_index,
-                             dir_index, Ordering.RELAXED, values=values)
+            reason = self._try_relaxed(addr, size, value, program_index,
+                                       dir_index, values)
 
     def _emit_relaxed(self, write, program_index: int) -> Generator:
         rule = self._rule_store_f
@@ -975,7 +994,10 @@ class TableDirectory(DirectoryNode):
         else:
             rule.effects(_TimedDirCtx(self, message),
                          self._fields(name, message))
-        if name in self._progress_kinds and self._retry:
+        # _progress's own early exit, inlined: nothing is buffered on the
+        # common path, so most deliveries skip the call.
+        if (name in self._progress_kinds and self._retry
+                and (self._buffered_total or self.machine.trace is not None)):
             self._progress()
 
     def _progress(self) -> None:

@@ -1,6 +1,11 @@
 """Tests for execution histories."""
 
-from repro.consistency import EventKind, ExecutionHistory, Ordering
+from repro.consistency import (
+    EventKind,
+    ExecutionHistory,
+    HistoryEvent,
+    Ordering,
+)
 
 
 class TestRecording:
@@ -32,6 +37,26 @@ class TestRecording:
         history.record(0, 1, EventKind.STORE, Ordering.RELAXED, 0x2, 2)
         history.record(1, 0, EventKind.LOAD, Ordering.RELAXED, 0x1, 1)
         assert len(history.stores_to(0x1)) == 1
+
+
+class TestHistoryEvent:
+    def test_fields_equality_and_kind_predicates(self):
+        history = ExecutionHistory()
+        store = history.record(2, 5, EventKind.STORE, Ordering.RELEASE,
+                               0x40, 7)
+        assert store == HistoryEvent(0, 2, 5, EventKind.STORE,
+                                     Ordering.RELEASE, 0x40, 7)
+        assert (store.uid, store.core, store.program_index) == (0, 2, 5)
+        assert store.kind is EventKind.STORE
+        assert store.ordering is Ordering.RELEASE
+        assert (store.addr, store.value) == (0x40, 7)
+        assert store.is_store and not store.is_load
+        load = history.record(3, 0, EventKind.LOAD, Ordering.ACQUIRE)
+        assert (load.addr, load.value) == (None, None)
+        assert load.is_load and not load.is_store
+        assert load != store
+        fence = HistoryEvent(9, 0, 1, EventKind.FENCE, Ordering.ACQ_REL)
+        assert not fence.is_store and not fence.is_load
 
 
 class TestRegisters:

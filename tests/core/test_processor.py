@@ -4,6 +4,8 @@ import pytest
 
 from repro.config import CordConfig
 from repro.core import CordProcessorState
+from repro.core.messages import RelaxedMeta
+from repro.core.processor import StallReason
 
 
 def make_proc(**overrides):
@@ -48,6 +50,19 @@ class TestRelaxedStores:
         reason = proc.relaxed_stall_reason(0)
         assert reason is not None
         assert reason.code == "store-counter-overflow"
+
+    def test_try_relaxed_store_checks_once_and_issues(self):
+        proc = make_proc(counter_bits=2)  # modulus 4
+        for expected in (1, 2, 3):
+            meta = proc.try_relaxed_store(0)
+            assert meta == RelaxedMeta(proc=0, epoch=0)
+            assert proc.store_counters.get(0) == expected
+        reason = proc.try_relaxed_store(0)
+        assert isinstance(reason, StallReason)
+        assert reason.code == "store-counter-overflow"
+        # A stalled attempt changes nothing.
+        assert proc.store_counters.get(0) == 3
+        assert proc.relaxed_issued == 3
 
     def test_issuing_while_stalled_raises(self):
         proc = make_proc(counter_bits=2)

@@ -15,6 +15,13 @@ class TestNodeId:
         assert NodeId.core(1, 0) != NodeId.directory(1, 0)
         assert len({NodeId.core(1, 0), NodeId.core(1, 0)}) == 1
 
+    def test_hash_equals_field_tuple_hash(self):
+        # Set iteration order, and with it every pinned final-state hash,
+        # depends on node ids hashing exactly like their field tuples.
+        for kind, index, host in (("core", 0, 0), ("dir", 9, 1),
+                                  ("mem", 3, 7)):
+            assert hash(NodeId(kind, index, host)) == hash((kind, index, host))
+
     def test_ordering_is_total(self):
         nodes = [NodeId.directory(2, 1), NodeId.core(0, 0), NodeId.core(3, 1)]
         assert sorted(nodes) == sorted(nodes, key=lambda n: (n.kind, n.index,

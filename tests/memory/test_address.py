@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SystemConfig
+from repro.interconnect import NodeId
 from repro.memory import AddressMap
 
 
@@ -47,6 +48,21 @@ class TestHostMapping:
         with pytest.raises(ValueError):
             amap.address_in_host(0, amap.host_region_bytes)
 
+    def test_negative_offset_rejected(self, amap):
+        with pytest.raises(ValueError, match=r"valid offsets are \[0, "):
+            amap.address_in_host(0, -5)
+
+    def test_host_beyond_config_rejected(self):
+        four_hosts = AddressMap(SystemConfig().scaled(hosts=4))
+        with pytest.raises(ValueError, match="valid hosts are 0..3"):
+            four_hosts.address_in_host(7, 0)
+        with pytest.raises(ValueError, match="valid hosts are 0..3"):
+            four_hosts.address_in_host(-1, 0)
+
+    def test_negative_address_rejected(self, amap):
+        with pytest.raises(ValueError, match="hosts 0..7"):
+            amap.host_of(-64)
+
 
 class TestSliceInterleaving:
     def test_consecutive_lines_interleave_across_slices(self, amap):
@@ -66,3 +82,26 @@ class TestSliceInterleaving:
     def test_home_directory_deterministic(self, amap):
         addr = amap.address_in_host(5, 0x8000)
         assert amap.home_directory(addr) == amap.home_directory(addr)
+
+    def test_home_directory_matches_host_and_slice_formula(self):
+        config = SystemConfig().scaled(hosts=3, cores_per_host=4)
+        amap = AddressMap(config)
+        slices = config.slices_per_host
+        last_lines = amap.host_region_bytes - 64 * slices
+        seen = set()
+        for host in range(config.hosts):
+            for offset in (0, last_lines):
+                for line in range(slices):
+                    addr = amap.address_in_host(host, offset + 64 * line)
+                    expected = NodeId.directory(
+                        amap.host_of(addr) * slices + amap.slice_of(addr),
+                        host)
+                    assert amap.home_directory(addr) == expected
+                    assert amap.home_directory(addr + 63) == expected
+                    seen.add(expected.index)
+        assert seen == set(range(config.total_directories))
+
+    def test_home_directory_rejects_addresses_outside_memory(self, amap):
+        for addr in (-64, -1, amap.limit, amap.limit + 64):
+            with pytest.raises(ValueError, match="outside the physical"):
+                amap.home_directory(addr)

@@ -81,6 +81,39 @@ class TestReplacement:
         eviction = cache.insert(256, MesiState.SHARED)
         assert eviction.addr == 128
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["write", "insert", "invalid",
+                                                "lookup"]),
+                              st.integers(0, 15)), max_size=40))
+    def test_write_matches_probe_then_insert_or_set_state(self, ops):
+        """``write`` is the one-probe form of contains -> insert/set_state:
+        same evictions, states and LRU order."""
+        def probed_write(cache, addr):
+            line_addr = cache.line_address(addr)
+            if not cache.contains(line_addr):
+                return cache.insert(line_addr, MesiState.MODIFIED)
+            cache.set_state(line_addr, MesiState.MODIFIED)
+            return None
+
+        def snapshot(cache):
+            return [[(a, line.state) for a, line in s.items()]
+                    for s in cache._sets]
+
+        fused, probed = make_cache(256, 2, 64), make_cache(256, 2, 64)
+        for kind, line in ops:
+            addr = line * 64 + 8
+            for cache in (fused, probed):
+                if kind == "insert":
+                    cache.insert(addr, MesiState.SHARED)
+                elif kind == "invalid":
+                    cache.insert(addr, MesiState.INVALID)
+                elif kind == "lookup":
+                    cache.lookup(addr)
+            if kind == "write":
+                assert fused.write(addr, MesiState.MODIFIED) == \
+                    probed_write(probed, addr)
+            assert snapshot(fused) == snapshot(probed)
+
     def test_dirty_eviction_flagged(self):
         cache = make_cache(size=256, ways=2, line=64)
         cache.insert(0, MesiState.MODIFIED)

@@ -4,6 +4,8 @@ import pytest
 
 from repro import Machine, ProgramBuilder, SystemConfig
 from repro.config import CordConfig
+from repro.core.processor import CordProcessorState
+from repro.protocols.table import INTERPRETED_ENV
 from tests.protocols.conftest import producer_consumer
 
 
@@ -138,8 +140,18 @@ class TestBoundedStorage:
         assert result.stall_ns("release_table") > 0
         assert result.message_count("rel_ack") >= 6
 
-    def test_counter_overflow_injects_barrier_release(self, two_hosts):
+    def test_counter_overflow_injects_barrier_release(self, two_hosts,
+                                                      monkeypatch):
         from dataclasses import replace
+
+        # Compiled timed stores issue through the fused check-and-issue
+        # entry point, never through the raising wrapper.
+        def unexpected(self, directory):
+            raise AssertionError("timed store bypassed try_relaxed_store")
+
+        monkeypatch.setattr(CordProcessorState, "on_relaxed_store",
+                            unexpected)
+        monkeypatch.delenv(INTERPRETED_ENV, raising=False)
         config = replace(two_hosts, cord=CordConfig(counter_bits=2))
         machine = Machine(config, protocol="cord")
         amap = machine.address_map
@@ -151,6 +163,33 @@ class TestBoundedStorage:
         assert result.message_count("wt_rlx") == 8
         # Barrier releases (empty) were injected to reset the counter.
         assert result.message_count("wt_rel") >= 2
+        # Each overflowing attempt recorded its §4.3 stall reason.
+        stalls = machine.cores[0].port.cord.stalls
+        assert stalls == {"store-counter-overflow":
+                          result.message_count("wt_rel") - 1}
+
+    def test_one_stall_check_per_relaxed_store(self, two_hosts, monkeypatch):
+        """The §4.3 relaxed check runs once per issued store: the
+        compiled row's fused entry point both checks and issues."""
+        checks = []
+        original = CordProcessorState.relaxed_stall_reason
+
+        def counting(self, directory):
+            checks.append(directory)
+            return original(self, directory)
+
+        monkeypatch.setattr(CordProcessorState, "relaxed_stall_reason",
+                            counting)
+        monkeypatch.delenv(INTERPRETED_ENV, raising=False)
+        machine = Machine(two_hosts, protocol="cord")
+        amap = machine.address_map
+        builder = ProgramBuilder()
+        stores = 16
+        for i in range(stores):
+            builder.store(amap.address_in_host(1, 0x1000 + 64 * i))
+        result = machine.run({0: builder.build()})
+        assert result.message_count("wt_rlx") == stores
+        assert len(checks) == stores
 
 
 class TestFences:
