@@ -12,6 +12,9 @@ This isolates the contribution of §4.2's notification mechanism: at fan-out
 re-introduces the processor stalls notifications exist to avoid.  The
 ablation benchmark (``benchmarks/test_ablation_notifications.py``) measures
 that gap.
+
+The variant runs on CORD's table actors and overrides only the Release
+issue path; the model checker does not model it.
 """
 
 from __future__ import annotations
@@ -19,21 +22,18 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.consistency.ops import MemOp
-from repro.protocols.cord import CordCorePort, CordDirectory
+from repro.protocols.table import table_protocol_classes
 
 __all__ = ["CordNoNotifyCorePort", "CordNoNotifyDirectory"]
 
+_CordCorePort, _CordDirectory = table_protocol_classes("cord")
 
-class CordNoNotifyCorePort(CordCorePort):
+
+class CordNoNotifyCorePort(_CordCorePort):
     """CORD core that source-orders cross-directory releases."""
 
-    def _release_store(
-        self,
-        op: MemOp,
-        program_index: int,
-        dir_index: int,
-        barrier: bool = False,
-    ) -> Generator:
+    def _release_to(self, op: MemOp, program_index: int, dir_index: int,
+                    barrier: bool = False) -> Generator:
         if not barrier:
             pending = self.state.pending_directories(exclude=dir_index)
             if pending:
@@ -45,16 +45,16 @@ class CordNoNotifyCorePort(CordCorePort):
                 for other in pending:
                     epoch = self.state.epoch.value
                     empty = MemOp.release_store(addr=0, value=None, size=0)
-                    yield from super()._release_store(
+                    yield from super()._release_to(
                         empty, program_index, other, barrier=True
                     )
                     issued.append((other, epoch))
                 while any(key in self.state.unacked for key in issued):
                     yield self.ack_signal
                 self.stall("cross_dir_drain", self.sim.now - started)
-        yield from super()._release_store(op, program_index, dir_index,
-                                          barrier=barrier)
+        yield from super()._release_to(op, program_index, dir_index,
+                                       barrier=barrier)
 
 
-class CordNoNotifyDirectory(CordDirectory):
+class CordNoNotifyDirectory(_CordDirectory):
     """Directory side is unchanged — notifications simply never trigger."""

@@ -1,6 +1,7 @@
 """Shared infrastructure for timed protocol actors.
 
-Each protocol (SO, CORD, MP, WB, SEQ-k) is a pair of classes:
+Each protocol is a pair of classes — the generic table actors of
+:mod:`repro.protocols.table`, or WB's MESI actors:
 
 * a :class:`CorePort` — the protocol logic at the processor side, driven as a
   generator by :class:`repro.cpu.core.Core` (so it can stall, wait on acks,
@@ -182,13 +183,9 @@ class CorePort(abc.ABC):
     # ------------------------------------------------------------------
     # Shared atomic path: read-modify-write at the home LLC slice.
     # ------------------------------------------------------------------
+    @abc.abstractmethod
     def atomic(self, op: MemOp, program_index: int) -> Generator:
-        """Default atomic: request/response round trip to the home
-        directory, which performs the RMW at the commit point.  Protocols
-        with ordering obligations override this to add them."""
-        yield from self.wc_flush()   # RMWs never bypass buffered stores
-        old = yield from self._atomic_round_trip(op, program_index)
-        return old
+        """Execute an RMW per the protocol's ordering rules."""
 
     def _atomic_round_trip(self, op: MemOp, program_index: int) -> Generator:
         req_id = self._next_req
@@ -327,12 +324,6 @@ class DirectoryNode:
             value=new,
         )
         return old
-
-    def on_atomic_req(self, message: Message) -> None:
-        """Default atomic handler: RMW immediately, respond with the old
-        value (protocols with ordering conditions override)."""
-        old = self.perform_atomic(message)
-        self.respond_atomic(message, old)
 
     def respond_atomic(self, message: Message, old: int) -> None:
         self.network.send(Message(

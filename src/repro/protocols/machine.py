@@ -251,7 +251,7 @@ class Machine:
         than per directory."""
         board = getattr(self, "_seq_board", None)
         if board is None:
-            from repro.protocols.seq import SeqCommitBoard
+            from repro.protocols.table import SeqCommitBoard
             board = self._seq_board = SeqCommitBoard(self.sim)
         return board
 

@@ -236,8 +236,8 @@ class FenceRule:
     wait for their acknowledgments.  ``timed_drain`` names the timed
     interpreter's drain mechanism (``"acks"``: wait for the ack counter;
     ``"barriers"``: CORD's broadcast; ``"flush"``: SEQ's flush protocol)
-    and ``timed_drain_on_acquire`` keeps the legacy timed conservatism of
-    draining on *any* fence (SO) — outcome-invariant, timing-visible.
+    and ``timed_drain_on_acquire`` keeps SO's timed conservatism of
+    draining on *any* fence — outcome-invariant, timing-visible.
     """
 
     done: Callable[[Any], bool]
@@ -359,8 +359,8 @@ class ProtocolSpec:
     #: Messages-only spec: ordering metadata for the checker, no
     #: interpreted rules.
     rules_complete: bool = True
-    #: For messages-only specs that still route through the default
-    #: (non-legacy) factory path: a zero-argument callable returning the
+    #: For messages-only specs that the factory still resolves: a
+    #: zero-argument callable returning the
     #: ``(CorePortClass, DirectoryClass)`` actor pair.  WB's MESI state
     #: machine is request/response-shaped rather than guard/action-shaped,
     #: so its spec declares messages plus actors instead of rules.
@@ -511,8 +511,8 @@ def cord_barrier_batch_reason(cord: Any) -> Optional[StallReason]:
     A fence issues one empty Release per pending directory *atomically*
     (the pending set is computed once — issuing the first barrier clears
     the store counters, which would otherwise shrink the set mid-fence).
-    The legacy checker guarded only the first issue, so a batch of ``k``
-    barriers could blow through the unacked-epoch table or the epoch
+    Guarding only the first issue would let a batch of ``k``
+    barriers blow through the unacked-epoch table or the epoch
     window mid-step and crash exploration (``release store must stall``)
     exactly in the under-provisioned §4.5 corner the checker exists to
     probe.  This predicate bounds the *whole batch*: ``k`` free

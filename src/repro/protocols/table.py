@@ -2,9 +2,10 @@
 
 One generic core-port class and one generic directory class run any
 rule-complete :class:`~repro.protocols.spec.ProtocolSpec` — the same
-table object the model checker interprets — replacing the hand-written
-``so``/``cord``/``seq`` actors and their per-message ``on_<type>``
-handler-lookup chains with flat table dispatch.
+table object the model checker interprets — with flat table dispatch
+instead of per-protocol actors and per-message ``on_<type>`` handler
+chains.  They are the only timed implementation of ``so``, ``cord``,
+``mp``, ``seq<k>`` and ``tardis``.
 
 What lives here is strictly *interpreter scaffolding*: the event-loop
 plumbing (signals, generators, stall accounting), the wire transport
@@ -13,17 +14,17 @@ plumbing (signals, generators, stall accounting), the wire transport
 commit, what a commit does — is executed straight from the table, so the
 timed simulator and the checker cannot diverge on them.
 
-The interpretation is behaviour-preserving with respect to the legacy
-actors for ``so`` and ``cord`` (pinned byte-identical by the PR 4
-final-state-hash basket) and fixes two real divergences for ``seq<k>``
-(machine-global commit gating and release-fence draining; see
-``tests/protocols/test_seq_divergence.py``).
+Timed behaviour is pinned by the final-state-hash basket
+(``tests/test_state_hash.py``).  For ``seq<k>`` the interpreter gates
+commits machine-wide and drains on release fences, as the checker does
+(see ``tests/protocols/test_seq_divergence.py``).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple, Type
+from typing import (Any, Callable, Dict, Generator, List, Mapping, Optional,
+                    Tuple, Type)
 
 from repro.consistency.ops import MemOp, Ordering
 from repro.core.directory import CordDirectoryState
@@ -63,15 +64,15 @@ from repro.protocols.spec import (
     get_spec,
 )
 
-__all__ = ["TableCorePort", "TableDirectory", "make_table_protocol",
-           "table_protocol_classes", "interpreted_tables_enabled",
-           "INTERPRETED_ENV"]
+__all__ = ["TableCorePort", "TableDirectory", "SeqCommitBoard",
+           "make_table_protocol", "table_protocol_classes",
+           "interpreted_tables_enabled", "INTERPRETED_ENV"]
 
 
 #: Environment toggle: run the compiled tables through the original
 #: guard/action closures instead of the int-coded fast paths (the
 #: compiled-vs-interpreted differential seam; also mixed into the
-#: executor's cache key like ``REPRO_LEGACY_PROTOCOLS``).
+#: executor's cache key).
 INTERPRETED_ENV = "REPRO_INTERPRETED_TABLES"
 
 
@@ -80,6 +81,55 @@ def interpreted_tables_enabled() -> bool:
     return os.environ.get(INTERPRETED_ENV, "").strip().lower() in (
         "1", "true", "yes", "on"
     )
+
+
+# ---------------------------------------------------------------------------
+# Machine-global commit board (SEQ-k ordering, Tardis clocks)
+# ---------------------------------------------------------------------------
+class SeqCommitBoard:
+    """Machine-global per-processor committed-store counts.
+
+    A Release-like ``seq_store`` with number ``n`` waits for *all* earlier
+    numbers from the same processor — and those stores fan out across
+    directory slices, so the count that gates it must span the machine.
+    (Keeping the counts per-directory deadlocks any cross-directory
+    release; the model checker always used the global sum.)
+
+    Directories subscribe their retry loop: a commit at one slice
+    re-evaluates the others' buffered stores/flushes on a zero-delay
+    event (never re-entrantly, and never for the committing slice itself,
+    so single-slice machines schedule no extra events).
+    """
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.committed: Dict[int, int] = {}
+        #: Per-processor logical clocks (Tardis pts): the timestamp of the
+        #: latest event each processor has observed.  Monotone — reads and
+        #: commits only ever raise them — which is what makes stale lease
+        #: hits provably checker-reachable (DESIGN.md).
+        self.proc_ts: Dict[int, int] = {}
+        self._subscribers: List[Tuple[object, Callable[[], None]]] = []
+
+    def subscribe(self, origin: object,
+                  callback: Callable[[], None]) -> None:
+        self._subscribers.append((origin, callback))
+
+    def count(self, proc: int) -> int:
+        return self.committed.get(proc, 0)
+
+    def pts(self, proc: int) -> int:
+        return self.proc_ts.get(proc, 0)
+
+    def bump_pts(self, proc: int, ts: int) -> None:
+        if ts > self.proc_ts.get(proc, 0):
+            self.proc_ts[proc] = ts
+
+    def commit(self, proc: int, origin: object = None) -> None:
+        self.committed[proc] = self.committed.get(proc, 0) + 1
+        for sub_origin, callback in self._subscribers:
+            if sub_origin is not origin:
+                self.sim.schedule(0.0, callback)
 
 
 # ---------------------------------------------------------------------------
@@ -797,16 +847,14 @@ class TableCorePort(CorePort):
             self.stall(fr.stall_cause, self.sim.now - started)
         elif fr.timed_drain == "flush":
             # SEQ: a release fence must not complete with uncommitted
-            # sequence numbers outstanding (divergence fix — the legacy
-            # actor inherited the no-op drain and let releases fence
-            # nothing; the checker always gated on seq_outstanding == 0).
+            # sequence numbers outstanding (the checker gates on
+            # seq_outstanding == 0 the same way).
             if self.seq_next > self.seq_watermark:
                 yield from self._flush(fr.stall_cause)
         elif fr.timed_drain == "none":
             # MP posted writes: nothing is ever outstanding and ordering
             # comes entirely from the channel FIFO, so a release fence is
-            # a pure no-op — matching the legacy actor's inherited empty
-            # drain, which does not flush the write-combining buffer
+            # a pure no-op; it does not flush the write-combining buffer
             # either.
             return
         else:                               # "acks"
@@ -874,9 +922,9 @@ class TableDirectory(DirectoryNode):
     """Directory side of any rule-complete table.
 
     Messages with a delivery guard and a retry queue are buffered
-    ("recycled", Alg. 2) and re-evaluated by :meth:`_progress` — the
-    generic form of the legacy CORD/SEQ retry loops; everything else is
-    applied immediately through the table's effect."""
+    ("recycled", Alg. 2) and re-evaluated by :meth:`_progress` — one
+    retry loop for CORD, SEQ and Tardis; everything else is applied
+    immediately through the table's effect."""
 
     SPEC: ProtocolSpec = None           # bound by make_table_protocol
 
@@ -890,11 +938,10 @@ class TableDirectory(DirectoryNode):
                 machine.config.cord)
         self.board = None
         if spec.core_state in ("seq", "tardis"):
-            # Machine-global committed counts (divergence fix: the legacy
-            # per-directory counts deadlock cross-directory releases).
+            # Machine-global committed counts (per-directory counts would
+            # deadlock cross-directory releases).
             self.board = machine.seq_board()
             self.board.subscribe(self, self._progress)
-            self.committed_count = self.board.committed
         # Tardis per-line timestamps: write-ts and read-lease end, both
         # directory-resident (no sharer lists, no invalidations).
         self._tardis_wts: Optional[Dict[int, int]] = None
@@ -907,16 +954,11 @@ class TableDirectory(DirectoryNode):
             name: [] for name in spec.retry_order
         }
         self._buffered_total = 0
-        # Legacy attribute names, read by the machine's deadlock
-        # diagnostics and existing tests.
+        # CORD's buffered queues under the names the machine's deadlock
+        # diagnostics report.
         if "wt_rel" in self._retry:
             self._pending_releases = self._retry["wt_rel"]
             self._pending_reqs = self._retry["req_notify"]
-        if "seq_store" in self._retry:
-            self._pending = self._retry["seq_store"]
-            self._pending_flushes = self._retry["seq_flush"]
-        if "tardis_store" in self._retry:
-            self._pending = self._retry["tardis_store"]
         # Compiled dispatch mirrors the core port: per-mid wire constants
         # and delivery opcodes replace the per-message name lookups.
         compiled = compile_spec(spec)
@@ -1212,8 +1254,8 @@ def make_table_protocol(
             # implementation.
             return spec.actors()
         raise ValueError(
-            f"protocol {spec.name!r} has a messages-only table; "
-            f"its actors stay on the legacy path"
+            f"protocol {spec.name!r} has a messages-only table "
+            f"and declares no actor pair"
         )
     title = spec.name.replace("-", " ").title().replace(" ", "")
     port_cls = type(f"Table{title}CorePort", (TableCorePort,),

@@ -65,6 +65,15 @@ class TestSpecKey:
                 != spec_key(spec, version="bbb"))
         assert spec_key(spec) == spec_key(spec, version=code_version())
 
+    def test_interpreted_toggle_changes_code_version(self, monkeypatch):
+        # Same sources, same tables, different dispatch: cached records
+        # must not alias.
+        from repro.protocols.table import INTERPRETED_ENV
+        monkeypatch.delenv(INTERPRETED_ENV, raising=False)
+        compiled_version = code_version()
+        monkeypatch.setenv(INTERPRETED_ENV, "1")
+        assert code_version() != compiled_version
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown workload kind"):
             micro_spec(kind="nope")

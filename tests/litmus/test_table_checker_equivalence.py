@@ -1,11 +1,18 @@
-"""Checker table-vs-legacy equivalence, plus the fence-batch regression.
+"""Golden checker signatures, plus the fence-batch regression.
 
-The model checker can interpret each protocol either through its legacy
-hand-written transition code or through the shared transition table
-(:mod:`repro.protocols.spec`).  Both must explore the *same state graph*:
-identical state counts, transition counts, deadlock counts and final
-outcome sets — anything less means the table is not the protocol.
+The model checker explores each protocol through its transition table
+(:mod:`repro.protocols.spec`).  ``tests/data/checker_signatures.json``
+pins the *state graph* it explores — state count, transition count,
+deadlock count and final outcome set — for every classic litmus case
+under so/cord/mp/seq2, two TSO cases and the starved-table fence batch.
+The file was recorded while a second, hand-written transition model
+still existed and agreed with the tables on every entry, so a drift here
+means the tables no longer encode the protocol they were checked
+against.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -23,33 +30,50 @@ from repro.litmus.suite import classic_tests
 
 PROTOCOLS = ("so", "cord", "mp", "seq2")
 
+GOLDEN_PATH = Path(__file__).parents[1] / "data" / "checker_signatures.json"
+
 
 def _signature(test, protocol, **kwargs):
     result = ModelChecker(test, protocol, max_states=200_000,
                           **kwargs).run()
     outcomes = sorted(
-        tuple(sorted(final.outcome.items())) for final in result.finals
+        ",".join(f"{reg}={value}"
+                 for reg, value in sorted(final.outcome.items()))
+        for final in result.finals
     )
-    return (result.states_explored, result.stats["transitions"],
-            result.deadlocks, outcomes)
+    return {"states": result.states_explored,
+            "transitions": int(result.stats["transitions"]),
+            "deadlocks": result.deadlocks, "outcomes": outcomes}
+
+
+def _golden(label):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert label in golden, f"no golden signature for {label}"
+    return golden[label]
 
 
 class TestCheckerEquivalence:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_classic_suite_identical_state_graphs(self, protocol):
         for test in classic_tests():
-            table = _signature(test, protocol, use_tables=True)
-            legacy = _signature(test, protocol, use_tables=False)
-            assert table == legacy, (
-                f"{test.name} under {protocol}: table-driven exploration "
-                f"diverged from the legacy transition code"
+            label = f"{test.name}/{protocol}"
+            assert _signature(test, protocol) == _golden(label), (
+                f"{label}: exploration drifted from the golden signature"
             )
 
     def test_tso_mode_identical(self):
         test = classic_tests()[0]
         for protocol in ("so", "cord"):
-            assert (_signature(test, protocol, use_tables=True, tso=True)
-                    == _signature(test, protocol, use_tables=False, tso=True))
+            label = f"{test.name}/{protocol}/tso"
+            assert _signature(test, protocol, tso=True) == _golden(label)
+
+    def test_golden_file_has_no_stale_entries(self):
+        labels = {f"{test.name}/{protocol}"
+                  for protocol in PROTOCOLS for test in classic_tests()}
+        labels |= {f"{classic_tests()[0].name}/{protocol}/tso"
+                   for protocol in ("so", "cord")}
+        labels.add("fence-batch/cord/tiny-tables")
+        assert set(json.loads(GOLDEN_PATH.read_text())) == labels
 
 
 #: Relaxed stores to two homes, then a release fence: the fence must
@@ -79,24 +103,19 @@ class TestCordFenceBatch:
     """Divergence fix: a release fence issues its barrier batch atomically,
     so the whole batch — not just the first barrier — must fit the
     unacked-epoch table, the epoch window and the directory partitions.
-    The legacy checker guarded only the first issue and crashed
-    (``release store must stall``) on under-provisioned configs."""
+    Guarding only the first issue crashed exploration (``release store
+    must stall``) on under-provisioned configs."""
 
-    @pytest.mark.parametrize("use_tables", [True, False],
-                             ids=["table", "legacy"])
-    def test_starved_tables_explore_without_crashing(self, use_tables):
+    def test_starved_tables_explore_without_crashing(self):
         result = ModelChecker(FENCE_BATCH, "cord", cord_config=TINY_CORD,
-                              max_states=200_000,
-                              use_tables=use_tables).run()
+                              max_states=200_000).run()
         assert result.states_explored > 0
         for final in result.finals:
             assert FENCE_BATCH.matches_forbidden(final.outcome) is None
 
-    def test_both_paths_agree_on_starved_tables(self):
-        assert (_signature(FENCE_BATCH, "cord", cord_config=TINY_CORD,
-                           use_tables=True)
-                == _signature(FENCE_BATCH, "cord", cord_config=TINY_CORD,
-                              use_tables=False))
+    def test_starved_tables_signature_is_pinned(self):
+        assert (_signature(FENCE_BATCH, "cord", cord_config=TINY_CORD)
+                == _golden("fence-batch/cord/tiny-tables"))
 
     def test_batch_reason_bounds_whole_batch(self):
         from repro.core.processor import CordProcessorState
@@ -110,14 +129,14 @@ class TestCordFenceBatch:
         assert cord_barrier_batch_reason(idle) is None
 
         # Three pending directories vs a 2-entry unacked table: the first
-        # barrier alone would fit (the legacy guard passed), the batch
+        # barrier alone would fit (a first-issue guard passes), the batch
         # cannot.
         cord = CordProcessorState(0, config)
         for directory in (0, 1, 2):
             cord.on_relaxed_store(directory)
         reason = cord_barrier_batch_reason(cord)
         assert reason is not None
-        assert cord.release_stall_reason(0) is None  # legacy guard blind
+        assert cord.release_stall_reason(0) is None  # first-issue guard blind
 
         # Two pending directories fit the 2-entry table: the batch clears.
         cord = CordProcessorState(0, config)
@@ -132,9 +151,7 @@ class TestStoresDrainedGate:
     numbers, so exploration could declare a state final (or deadlocked)
     with seq stores still buffered at a directory."""
 
-    @pytest.mark.parametrize("use_tables", [True, False],
-                             ids=["table", "legacy"])
-    def test_seq_message_passing_is_clean(self, use_tables):
+    def test_seq_message_passing_is_clean(self):
         test = LitmusTest(
             name="seq-mp",
             locations={"x": 0, "flag": 1},
@@ -144,8 +161,7 @@ class TestStoresDrainedGate:
             ],
             forbidden=[{"P1:r0": 1, "P1:r1": 0}],
         )
-        result = ModelChecker(test, "seq2", max_states=200_000,
-                              use_tables=use_tables).run()
+        result = ModelChecker(test, "seq2", max_states=200_000).run()
         assert result.deadlocks == 0
         for final in result.finals:
             assert test.matches_forbidden(final.outcome) is None

@@ -48,7 +48,6 @@ from repro.protocols.compile import (
     G_TRUE,
     compile_spec,
 )
-from repro.protocols.factory import LEGACY_ENV
 from repro.protocols.spec import LintError, get_spec, lint_spec
 from repro.protocols.table import INTERPRETED_ENV
 from repro.workloads.micro import MicroSpec
@@ -237,7 +236,6 @@ class TestCompiledInterpretedDifferential:
         "protocol", ["so", "cord", "seq8", "mp", "wb", "tardis"])
     def test_final_state_hash_matches(self, protocol, monkeypatch):
         spec = _point(protocol)
-        monkeypatch.delenv(LEGACY_ENV, raising=False)
         monkeypatch.delenv(INTERPRETED_ENV, raising=False)
         compiled = _execute_spec(spec).final_state_hash
         monkeypatch.setenv(INTERPRETED_ENV, "1")

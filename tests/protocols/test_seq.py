@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Machine, ProgramBuilder
-from repro.protocols import make_seq_protocol
+from repro.protocols import protocol_classes
 from tests.protocols.conftest import producer_consumer
 
 
@@ -60,12 +60,10 @@ class TestOverflow:
 
 
 class TestFactory:
-    def test_make_seq_protocol_sets_bits(self):
-        port_cls, _ = make_seq_protocol(12)
-        assert port_cls.SEQ_BITS == 12
+    def test_seq_width_sets_bits(self):
+        assert protocol_classes("seq12")[0].SEQ_BITS == 12
 
     def test_invalid_bits_rejected(self):
-        from repro.protocols import protocol_classes
         with pytest.raises(ValueError):
             protocol_classes("seq0")
         with pytest.raises(ValueError):

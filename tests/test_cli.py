@@ -80,6 +80,11 @@ class TestExecutorFlags:
         assert main(["--frobnicate", "fig9"]) == 2
         assert "unknown option" in capsys.readouterr().out
 
+    def test_removed_legacy_protocols_flag_fails_fast(self, capsys):
+        assert main(["fig9", "--legacy-protocols"]) == 2
+        assert ("unknown option '--legacy-protocols'"
+                in capsys.readouterr().out)
+
     def test_help_documents_executor_flags(self, capsys):
         main(["--help"])
         out = capsys.readouterr().out

@@ -5,8 +5,8 @@ is performance-tuned under a strict no-behavior-change contract: every
 optimization must leave simulation results *byte-identical*.  This module
 enforces that contract by pinning the ``final_state_hash`` — a SHA-256
 over final register values, timings and the full stats dict — of a basket
-spanning every statically-registered protocol (plus table-native tardis)
-on the Fig. 2 CXL application point, with and without fault injection.
+spanning every registered protocol on the Fig. 2 CXL application point,
+with and without fault injection, plus ``seq<k>`` on a small micro point.
 
 If a hash changes, either the change was an intended semantic fix (then
 regenerate: ``REPRO_UPDATE_HASHES=1 pytest tests/test_state_hash.py`` and
@@ -25,13 +25,13 @@ from repro.faults import DropSpec, DuplicateSpec, FaultPlan, FlapSpec
 from repro.harness import RunSpec
 from repro.harness.executor import _execute_spec
 from repro.harness.experiments import default_config
+from repro.workloads.micro import MicroSpec
 from repro.workloads.table2 import APPLICATIONS
 
 EXPECTED_PATH = Path(__file__).parent / "data" / "state_hash_basket.json"
 
-#: The five statically-registered protocols plus table-native tardis
-#: (seq<k> is excluded: monolithic sequence numbers make the CR app
-#: exceed any reasonable event budget).
+#: Every registered protocol but seq<k> (monolithic sequence numbers make
+#: the CR app exceed any reasonable event budget; SEQ_BASKET covers it).
 PROTOCOLS = ("so", "cord", "cord-nonotify", "mp", "wb", "tardis")
 
 #: Deterministic adversity: drops, duplicates and a periodic link flap.
@@ -61,7 +61,19 @@ POD_BASKET = [
     for protocol in ("cord", "so")
     for faults in (None, FAULTS)
 ]
-BASKET = BASKET + POD_BASKET
+
+#: SEQ-k on a small-but-busy micro point: fine stores, frequent releases,
+#: fanout 2 for cross-slice traffic.  SEQ-8 wraps and flushes; SEQ-40
+#: never does but pays for the wider header.
+SEQ_MICRO = MicroSpec(store_granularity=64, sync_granularity=4096, fanout=2,
+                      total_bytes=32 * 1024)
+SEQ_BASKET = [
+    (protocol,
+     RunSpec(kind="micro", protocol=protocol, workload=SEQ_MICRO,
+             config=default_config(CXL), seed=0, experiment="hash-basket"))
+    for protocol in ("seq8", "seq40")
+]
+BASKET = BASKET + POD_BASKET + SEQ_BASKET
 
 
 def _expected() -> dict:
@@ -79,7 +91,7 @@ class TestStateHashBasket:
             pytest.skip("regenerating expected hashes")
         labels = [label for label, _spec in BASKET]
         assert (len(labels) == len(set(labels))
-                == 2 * len(PROTOCOLS) + len(POD_BASKET))
+                == 2 * len(PROTOCOLS) + len(POD_BASKET) + len(SEQ_BASKET))
         assert set(_expected()) == set(labels)
 
     @pytest.mark.parametrize(
