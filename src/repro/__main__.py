@@ -56,12 +56,8 @@ Modelcheck options (``modelcheck`` only; see ``repro.harness.modelcheck``):
     --max-states N    per-case exploration budget (default: 500000)
     --no-por          disable the partial-order reduction
     --no-symmetry     disable symmetry reduction (orbit canonicalization)
-    --parallel N      shard each case's frontier across N worker
-                      processes (forces --jobs 1; partitioned visited set)
     --visited-db DIR  spill per-case visited sets to SQLite files in DIR
-                      once they outgrow RAM
-    --spill-threshold N   in-RAM visited entries before spilling
-                      (default: 200000)
+                      past 200000 entries
     --gen-count/--gen-seed/--gen-threads/--gen-locs/--gen-values/--gen-ops N
                       bounds for the 'generated' suite (defaults:
                       32/0/2/2/2/3); --gen-atomics adds fetch-and-adds

@@ -200,29 +200,6 @@ def _modelcheck_symmetry_runner(quick: bool) -> Callable[[], Tuple[int, float]]:
     return run
 
 
-def _modelcheck_parallel_runner(quick: bool) -> Callable[[], Tuple[int, float]]:
-    # The sharded-frontier point: ISA2 under CORD with worker processes.
-    # On a single-core host this measures coordination overhead rather
-    # than speedup; the states/sec ratio vs the serial ``modelcheck``
-    # point is only meaningful on multi-core runners (the nightly CI job
-    # archives both).  State counts are identical to serial either way.
-    def run() -> Tuple[int, float]:
-        from repro.litmus.model_checker import ModelChecker
-        from repro.litmus.suite import classic_tests
-        tests = [t for t in classic_tests() if t.name.startswith("ISA2")]
-        workers = 2 if quick else 4
-        if quick:
-            tests = tests[:1]
-        states = 0
-        for test in tests:
-            result = ModelChecker(
-                test, protocol="cord", parallel=workers).run()
-            states += result.states_explored
-        return states, 0.0
-
-    return run
-
-
 def _litmus_runner(quick: bool) -> Callable[[], Tuple[int, float]]:
     def run() -> Tuple[int, float]:
         from repro.litmus import run_timed
@@ -255,7 +232,6 @@ def bench_points(quick: bool = False) -> List[Tuple[str, Callable[[], Tuple[int,
         ("litmus.classic", _litmus_runner(quick)),
         ("modelcheck", _modelcheck_runner(quick)),
         ("modelcheck.sym", _modelcheck_symmetry_runner(quick)),
-        ("modelcheck.par", _modelcheck_parallel_runner(quick)),
     ]
 
 

@@ -20,15 +20,15 @@ The cache key includes the repo-wide code version, so editing the model
 checker or any protocol state machine invalidates cached verdicts; an
 unchanged tree re-verifies the whole suite from cache in milliseconds.
 
-Execution-environment knobs — ``--parallel N`` worker processes per case,
-``--visited-db DIR`` / ``--spill-threshold N`` for the disk-backed visited
-set — deliberately stay *out* of :class:`CheckSpec` (they are plumbed via
-``REPRO_MODELCHECK_PARALLEL`` / ``REPRO_MODELCHECK_VISITED_DB`` /
-``REPRO_MODELCHECK_SPILL``): the verdict artifact is identical however the
-exploration was scheduled, so a suite checked serially is a warm cache for
-the same suite re-run with ``--parallel 4`` and vice versa.  ``--symmetry``
-is a :class:`CheckSpec` field — it changes the search, and flipping it is
-exactly what the soundness differential wants to re-explore.
+The one execution-environment knob — ``--visited-db DIR``, the
+disk-backed visited set — deliberately stays *out* of :class:`CheckSpec`
+(it is plumbed via ``REPRO_MODELCHECK_VISITED_DB``): the verdict artifact
+is identical wherever the visited set was stored, so a suite checked in
+memory is a warm cache for the same suite re-run with ``--visited-db``
+and vice versa.  ``--symmetry`` is a :class:`CheckSpec` field — it
+changes the search, and flipping it is exactly what the soundness
+differential wants to re-explore.  Cases run in parallel only through the
+executor's ``--jobs``; each case is explored serially.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ __all__ = [
     "make_specs",
     "run_modelcheck_cli",
 ]
+
+#: Directory for per-case spillable visited sets (``--visited-db``).
+_VISITED_DB_ENV = "REPRO_MODELCHECK_VISITED_DB"
 
 
 @dataclass(frozen=True)
@@ -174,21 +177,16 @@ def _execute_check(spec: CheckSpec,
     so a budget-exhausted case records ``complete=False`` (and fails)
     instead of aborting the rest of the sweep.
 
-    Scheduling knobs come from the environment, not the spec, so they
-    never perturb the cache key (see the module docstring):
-    ``REPRO_MODELCHECK_PARALLEL`` (worker processes per case),
     ``REPRO_MODELCHECK_VISITED_DB`` (directory for per-case spillable
-    visited sets) and ``REPRO_MODELCHECK_SPILL`` (spill threshold).
+    visited sets) comes from the environment, not the spec, so it never
+    perturbs the cache key (see the module docstring).
     """
     from repro.litmus.model_checker import ModelChecker
 
     key = spec_key(spec)
-    parallel = int(os.environ.get("REPRO_MODELCHECK_PARALLEL") or 1)
-    visited_dir = os.environ.get("REPRO_MODELCHECK_VISITED_DB") or None
+    visited_dir = os.environ.get(_VISITED_DB_ENV) or None
     visited_db = (os.path.join(visited_dir, key + ".visited.sqlite")
                   if visited_dir else None)
-    spill_env = os.environ.get("REPRO_MODELCHECK_SPILL")
-    spill_threshold = int(spill_env) if spill_env else None
 
     started = time.perf_counter()
     checker = ModelChecker(
@@ -199,9 +197,7 @@ def _execute_check(spec: CheckSpec,
         max_states=spec.max_states,
         por=spec.por,
         symmetry=spec.symmetry,
-        parallel=parallel,
         visited_db=visited_db,
-        spill_threshold=spill_threshold,
         partial=True,
         stats=StatRegistry(),
     )
@@ -307,9 +303,8 @@ def run_modelcheck_cli(argv: List[str]) -> int:
 
     SUITE is ``quick``, ``classic``, ``custom``, ``generated`` or ``full``
     (default).  Options: ``--max-states N``, ``--no-por``,
-    ``--no-symmetry``, ``--parallel N`` (worker processes *per case*;
-    forces ``--jobs 1``), ``--visited-db DIR`` / ``--spill-threshold N``
-    (disk-backed visited sets), the ``generated``-suite shape flags
+    ``--no-symmetry``, ``--visited-db DIR`` (disk-backed visited sets),
+    the ``generated``-suite shape flags
     ``--gen-count/--gen-seed/--gen-threads/--gen-locs/--gen-values/
     --gen-ops/--gen-atomics``, and the executor flags ``--jobs N``,
     ``--cache-dir PATH``, ``--no-cache``, ``--run-log PATH``.
@@ -321,9 +316,7 @@ def run_modelcheck_cli(argv: List[str]) -> int:
     max_states = 500_000
     por = True
     symmetry = True
-    parallel = 1
     visited_db: Optional[str] = None
-    spill_threshold: Optional[int] = None
     jobs = 1
     cache_dir: Optional[str] = str(default_cache_dir())
     run_log: Optional[str] = None
@@ -331,9 +324,8 @@ def run_modelcheck_cli(argv: List[str]) -> int:
     gen_threads, gen_locs, gen_values, gen_ops = 2, 2, 2, 3
     gen_atomics = False
 
-    int_flags = {"--max-states", "--jobs", "--parallel", "--spill-threshold",
-                 "--gen-count", "--gen-threads", "--gen-locs", "--gen-values",
-                 "--gen-ops", "--gen-seed"}
+    int_flags = {"--max-states", "--jobs", "--gen-count", "--gen-threads",
+                 "--gen-locs", "--gen-values", "--gen-ops", "--gen-seed"}
     value_flags = int_flags | {"--cache-dir", "--run-log", "--visited-db"}
 
     index = 0
@@ -354,8 +346,7 @@ def run_modelcheck_cli(argv: List[str]) -> int:
             else:
                 try:
                     number = int(value)
-                    if number < (0 if arg in ("--gen-seed",
-                                              "--spill-threshold") else 1):
+                    if number < (0 if arg == "--gen-seed" else 1):
                         raise ValueError
                 except ValueError:
                     print(f"{arg} expects a valid integer, got {value!r}")
@@ -364,10 +355,6 @@ def run_modelcheck_cli(argv: List[str]) -> int:
                     max_states = number
                 elif arg == "--jobs":
                     jobs = number
-                elif arg == "--parallel":
-                    parallel = number
-                elif arg == "--spill-threshold":
-                    spill_threshold = number
                 elif arg == "--gen-count":
                     gen_count = number
                 elif arg == "--gen-seed":
@@ -391,7 +378,7 @@ def run_modelcheck_cli(argv: List[str]) -> int:
         elif arg.startswith("-"):
             print(f"unknown modelcheck option {arg!r}; supported: SUITE "
                   "--max-states N --no-por --symmetry/--no-symmetry "
-                  "--parallel N --visited-db DIR --spill-threshold N "
+                  "--visited-db DIR "
                   "--gen-count/--gen-seed/--gen-threads/--gen-locs/"
                   "--gen-values/--gen-ops N --gen-atomics --jobs N "
                   "--cache-dir PATH --no-cache --run-log PATH")
@@ -399,10 +386,6 @@ def run_modelcheck_cli(argv: List[str]) -> int:
         else:
             suite = arg
         index += 1
-
-    if parallel > 1 and jobs > 1:
-        print("--parallel shards each case across processes; forcing --jobs 1")
-        jobs = 1
 
     gen_params = None
     if suite == "generated":
@@ -420,27 +403,19 @@ def run_modelcheck_cli(argv: List[str]) -> int:
                        symmetry=symmetry)
     executor = Executor(jobs=jobs, cache_dir=cache_dir, run_log=run_log)
 
-    env_overrides = {
-        "REPRO_MODELCHECK_PARALLEL": str(parallel) if parallel > 1 else None,
-        "REPRO_MODELCHECK_VISITED_DB": visited_db,
-        "REPRO_MODELCHECK_SPILL": (str(spill_threshold)
-                                   if spill_threshold is not None else None),
-    }
-    saved = {name: os.environ.get(name) for name in env_overrides}
-    for name, value in env_overrides.items():
+    def set_visited_env(value: Optional[str]) -> None:
         if value is None:
-            os.environ.pop(name, None)
+            os.environ.pop(_VISITED_DB_ENV, None)
         else:
-            os.environ[name] = value
+            os.environ[_VISITED_DB_ENV] = value
+
+    saved = os.environ.get(_VISITED_DB_ENV)
+    set_visited_env(visited_db)
     started = time.perf_counter()
     try:
         records = executor.map(specs)
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        set_visited_env(saved)
     wall = time.perf_counter() - started
 
     failed = [r for r in records if not r.passed]

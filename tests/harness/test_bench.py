@@ -27,15 +27,14 @@ class TestBasket:
     def test_basket_names_are_fixed(self):
         names = [name for name, _runner in bench_points(quick=True)]
         assert names == ["micro.kernel", "micro.tardis", "fig2.cxl",
-                         "litmus.classic", "modelcheck", "modelcheck.sym",
-                         "modelcheck.par"]
+                         "litmus.classic", "modelcheck", "modelcheck.sym"]
         assert names == [name for name, _ in bench_points(quick=False)]
 
     def test_payload_is_schema_valid(self, quick_payload):
         validate_payload(quick_payload)  # must not raise
         assert quick_payload["schema"] == SCHEMA_VERSION
         assert quick_payload["quick"] is True
-        assert len(quick_payload["points"]) == 7
+        assert len(quick_payload["points"]) == 6
         for point in quick_payload["points"]:
             assert point["events"] > 0
             assert point["wall_s"] > 0

@@ -1,7 +1,10 @@
 """Visited-set storage: novelty contract and the SQLite spill path."""
 
+import glob
 import os
 
+from repro.litmus.model_checker import ModelChecker
+from repro.litmus.suite import full_suite
 from repro.litmus.visited import (
     MemoryVisitedSet,
     SqliteVisitedSet,
@@ -74,3 +77,29 @@ class TestMakeVisited:
         assert isinstance(visited, SqliteVisitedSet)
         assert visited.spill_threshold == 7
         visited.close()
+
+
+class TestCheckerSpill:
+    def test_serial_spill_matches_in_memory(self, tmp_path):
+        """Spilling the visited set to SQLite mid-run changes where keys
+        live, not what the exploration finds."""
+        case = next(c for c in full_suite()
+                    if c.test.name == "ISA2.split" and c.protocol == "cord")
+
+        def check(**kw):
+            return ModelChecker(case.test, protocol=case.protocol,
+                                cord_config=case.cord_config, tso=case.tso,
+                                partial=True, **kw).run()
+
+        db = str(tmp_path / "vis.sqlite")
+        memory = check()
+        spilled = check(visited_db=db, spill_threshold=3)
+        for key in ("states", "transitions", "visited_hits"):
+            assert spilled.stats[key] == memory.stats[key], key
+        assert spilled.outcomes == memory.outcomes
+        assert spilled.deadlocks == memory.deadlocks
+        assert spilled.complete and memory.complete
+        assert spilled.passed == memory.passed
+        assert memory.stats["visited_spilled"] == 0.0
+        assert spilled.stats["visited_spilled"] == 1.0
+        assert glob.glob(db + "*") == []  # scratch database cleaned up
