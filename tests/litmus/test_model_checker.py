@@ -141,6 +141,19 @@ class TestBoundedResources:
         assert full.complete
         assert full.states_explored > partial.states_explored
 
+    def test_budget_truncation_is_partial(self):
+        """A suite case checked with its own config stops at the state
+        budget and reports an incomplete result instead of raising."""
+        from repro.litmus.suite import full_suite
+        case = next(c for c in full_suite()
+                    if c.test.name == "ISA2.split" and c.protocol == "cord")
+        result = ModelChecker(
+            case.test, protocol=case.protocol, cord_config=case.cord_config,
+            tso=case.tso, partial=True, max_states=10,
+        ).run()
+        assert result.states_explored == 10
+        assert not result.complete
+
 
 class TestDeadlockWitness:
     STUCK = LitmusTest(
