@@ -45,10 +45,12 @@ Exploration scales with transitions, so successor construction is
 incremental: :meth:`_State.clone` shallow-copies the container lists and
 clones a core/directory/value map only when a transition actually mutates
 it (copy-on-write via the ``mutable_*`` accessors), untouched components
-stay shared between states.  Visited-set keys memoize each component's
-frozen form on the component itself (``_frozen_memo``) — valid because
-every mutation path goes through clone-on-write, which starts from a fresh,
-memo-less copy.  A sound partial-order reduction (see
+stay shared between states.  Visited-set keys hold only what can differ
+between two states of one run: each CORD component contributes its
+compact ``checker_key()`` (epoch and table entries — no config, table
+names or statistics), memoized on the component itself (``_frozen_memo``)
+— valid because every mutation path goes through clone-on-write, which
+starts from a fresh, memo-less copy.  A sound partial-order reduction (see
 :meth:`ModelChecker._reduce`) collapses the interleavings of commuting
 deliveries (acks, notifications, atomic responses).
 
@@ -60,10 +62,11 @@ enabled transition) along with a witness of the first deadlocked state.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CordConfig, SystemConfig
 from repro.consistency.checker import Violation, check_rc
@@ -72,7 +75,6 @@ from repro.consistency.ops import MemOp, OpKind, Ordering
 from repro.core.directory import CordDirectoryState
 from repro.core.messages import NotifyMeta, ReleaseMeta, RelaxedMeta, ReqNotifyMeta
 from repro.core.processor import CordProcessorState
-from repro.core.tables import BoundedTable, PartitionedTable
 from repro.litmus.dsl import LitmusTest
 from repro.litmus.symmetry import Automorphism, find_automorphisms
 from repro.litmus.visited import make_visited
@@ -235,9 +237,8 @@ def _attr_state(obj: Any) -> Optional[Dict[str, Any]]:
     """``name -> value`` attribute map, or ``None`` for non-object values.
 
     Covers plain ``__dict__`` instances *and* ``__slots__``-only classes
-    (slots collected across the MRO), so a PR-4-style slots adoption in
-    the shared ``repro.core`` state classes cannot silently shrink the
-    visited-set key to an empty attribute tuple.
+    (slots collected across the MRO), so adopting slots in a message meta
+    cannot silently shrink its frozen form to an empty attribute tuple.
     """
     state: Dict[str, Any] = {}
     found = False
@@ -260,8 +261,8 @@ def _attr_state(obj: Any) -> Optional[Dict[str, Any]]:
 
 
 def _freeze(obj: Any) -> Any:
-    """Canonical hashable form of protocol state (for the visited set)."""
-    import enum
+    """Canonical hashable form of a message's fields, a meta or an outcome
+    (for the visited set and the final-outcome map)."""
     if isinstance(obj, enum.Enum):
         return (type(obj).__name__, obj.value)
     if isinstance(obj, dict):
@@ -274,147 +275,88 @@ def _freeze(obj: Any) -> Any:
         return obj
     attrs = _attr_state(obj)
     if attrs is not None:
-        skip = {"stalls", "relaxed_issued", "releases_issued",
-                "relaxed_committed", "releases_committed",
-                "notifications_sent", "insertions", "peak_occupancy"}
         return (
             type(obj).__name__,
-            tuple(
-                (name, _freeze(value))
-                for name, value in sorted(attrs.items())
-                if name not in skip
-                and not name.startswith("_partitions")
-                and not name.startswith("_frozen")
-            ) + (
-                (("partitions", _freeze(obj._partitions)),)
-                if hasattr(obj, "_partitions") else ()
-            ),
+            tuple((name, _freeze(value))
+                  for name, value in sorted(attrs.items())),
         )
     raise TypeError(f"cannot freeze {type(obj)}")
 
 
-def _freeze_cached(obj: Any) -> Any:
-    """Per-component ``_freeze`` memoization keyed on mutation.
+def _freeze_cached(component: Any) -> Tuple:
+    """A CORD component's ``checker_key()``, memoized on the component.
 
-    The memo lives on the component itself; it stays valid because every
-    checker mutation goes through clone-on-write and clones never carry
-    the memo.  (``_freeze`` excludes ``_frozen*`` names, so the memo does
-    not perturb the frozen form.)  Objects that cannot take the attribute
-    — ``__slots__``-only classes without a ``_frozen_memo`` slot — are
-    simply re-frozen each time.
+    The memo stays valid because every checker mutation goes through
+    clone-on-write and clones never carry it; ``checker_key`` reads only
+    the keyed fields, so the memo never perturbs the key.  Components
+    that cannot take the attribute — ``__slots__``-only classes without
+    a ``_frozen_memo`` slot — are simply re-keyed each time.
     """
-    memo = getattr(obj, "_frozen_memo", None)
+    memo = getattr(component, "_frozen_memo", None)
     if memo is None:
-        memo = _freeze(obj)
+        memo = component.checker_key()
         try:
-            obj._frozen_memo = memo
+            component._frozen_memo = memo
         except AttributeError:
             pass
     return memo
 
 
+def _fifo_ranks(network: Sequence["_Msg"]) -> List[int]:
+    """Each in-flight message's rank within its FIFO class: how many
+    messages of the same ``fifo_class`` (``None`` included) were sent
+    before it and are still in flight.
+
+    Keys record this relative order rather than absolute ``seq``.  One
+    pass suffices because ``network`` is always in send order: sends
+    append with increasing ``seq`` and deliveries only remove.
+    """
+    sent: Dict[Optional[Tuple[Any, ...]], int] = {}
+    ranks = []
+    for msg in network:
+        rank = sent.get(msg.fifo_class, 0)
+        sent[msg.fifo_class] = rank + 1
+        ranks.append(rank)
+    return ranks
+
+
 # ---------------------------------------------------------------------------
 # Symmetry: component permutation (DESIGN.md §4.11)
 # ---------------------------------------------------------------------------
-# The frozen forms of the protocol components embed core/directory indices
-# both as table keys and inside the table *names* (``proc0.store_counters``),
-# so permuting a frozen form textually would be fragile.  Instead each
-# component is rebuilt as the object the permuted execution would have
-# produced and frozen with the ordinary ``_freeze`` — one code path, no
-# format assumptions.  Like ``_freeze_cached``, the result is memoized on
-# the component per automorphism (``_frozen_perm``, excluded from freezing
-# by the ``_frozen*`` skip rule and dropped by every clone), so COW sharing
-# amortizes the rebuild across states.
+# A permuted key is built straight from the source state through the
+# automorphism's maps: core ``i``'s entry moves to position ``σ(i)``,
+# directory ``d``'s to ``δ(d)``, and every core, directory, address, value
+# and register id inside an entry is renamed.  The CORD components rename
+# their own table entries (``checker_key(dirs=...)`` for a processor,
+# ``checker_key(procs=...)`` for a directory), and the result is memoized
+# on the component per automorphism (``_frozen_perm``, dropped by every
+# clone, like ``_freeze_cached``'s memo), so COW sharing amortizes it
+# across states.  ``_permuted_key(state, identity)`` equals
+# ``_key(state)``; a test pins that over ISA2, SB and IRIW.
 
 def _digest_of(key: Any) -> bytes:
     """Canonical 128-bit digest of a visited-set key.
 
     ``repr`` is injective and deterministic on the key domain (nested
-    tuples of ints, strings, bools and None — ``_freeze`` guarantees no
-    live objects remain), unlike ``pickle``, whose memoization makes the
+    tuples of ints, strings, bools and None — ``_freeze`` and the CORD
+    components' ``checker_key`` leave no live objects), unlike ``pickle``, whose memoization makes the
     byte stream depend on internal object sharing.
     """
     return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
 
 
-def _permuted_frozen(component: Any, auto: Automorphism, builder) -> Tuple:
+def _permuted_frozen(component: Any, auto: Automorphism,
+                     **renaming: Any) -> Tuple:
+    """``checker_key()`` of the component's ``auto``-image: its own
+    ``checker_key(**renaming)``, memoized per automorphism."""
     memo = component.__dict__.get("_frozen_perm")
     if memo is None:
         memo = {}
         component._frozen_perm = memo
     form = memo.get(auto.index)
     if form is None:
-        form = _freeze(builder(component, auto))
-        memo[auto.index] = form
+        form = memo[auto.index] = component.checker_key(**renaming)
     return form
-
-
-def _build_permuted_proc(proc: CordProcessorState,
-                         auto: Automorphism) -> CordProcessorState:
-    """The processor state core σ(i) would hold in the permuted run."""
-    twin = CordProcessorState.__new__(CordProcessorState)
-    twin.proc = auto.cores[proc.proc]
-    twin.config = proc.config
-    twin.epoch = proc.epoch  # per-core epoch counting is identity-blind
-    counters: BoundedTable = BoundedTable(
-        "proc{}.store_counters".format(twin.proc),
-        proc.store_counters.capacity, proc.store_counters.entry_bytes,
-    )
-    for directory, count in proc.store_counters:
-        counters._entries[auto.dirs.get(directory, directory)] = count
-    twin.store_counters = counters
-    unacked: BoundedTable = BoundedTable(
-        "proc{}.unacked_epochs".format(twin.proc),
-        proc.unacked.capacity, proc.unacked.entry_bytes,
-    )
-    for (directory, epoch), flag in proc.unacked:
-        unacked._entries[(auto.dirs.get(directory, directory), epoch)] = flag
-    twin.unacked = unacked
-    # Statistics fields are excluded from frozen forms; the observer must
-    # match the checker's (always None).
-    twin.relaxed_issued = 0
-    twin.releases_issued = 0
-    twin.stalls = {}
-    twin.on_transition = None
-    return twin
-
-
-def _permute_partitioned(table: PartitionedTable, name: str,
-                         auto: Automorphism) -> PartitionedTable:
-    twin = PartitionedTable.__new__(PartitionedTable)
-    twin.name = name
-    twin.entries_per_proc = table.entries_per_proc
-    twin.entry_bytes = table.entry_bytes
-    twin._partitions = {}
-    for proc, sub in table._partitions.items():
-        image = auto.cores[proc]
-        part: BoundedTable = BoundedTable(
-            "{}[p{}]".format(name, image), sub.capacity, sub.entry_bytes)
-        part._entries = dict(sub._entries)  # keyed by epoch: invariant
-        twin._partitions[image] = part
-    return twin
-
-
-def _build_permuted_dir(directory: CordDirectoryState,
-                        auto: Automorphism) -> CordDirectoryState:
-    """The directory state slice δ(d) would hold in the permuted run."""
-    twin = CordDirectoryState.__new__(CordDirectoryState)
-    twin.directory = auto.dirs.get(directory.directory, directory.directory)
-    twin.config = directory.config
-    twin.store_counters = _permute_partitioned(
-        directory.store_counters,
-        "dir{}.store_counters".format(twin.directory), auto)
-    twin.notification_counters = _permute_partitioned(
-        directory.notification_counters,
-        "dir{}.notification_counters".format(twin.directory), auto)
-    twin.largest_committed = {
-        auto.cores[proc]: epoch
-        for proc, epoch in directory.largest_committed.items()
-    }
-    twin.relaxed_committed = 0
-    twin.releases_committed = 0
-    twin.notifications_sent = 0
-    return twin
 
 
 def _permute_meta(meta: Any, auto: Automorphism) -> Any:
@@ -1153,9 +1095,16 @@ class ModelChecker:
     # Exploration
     # ------------------------------------------------------------------
     def _key(self, state: _State) -> Tuple:
+        """Visited-set key: only what can differ between two states of
+        this run (component positions stand in for their ids)."""
+        messages = sorted(
+            zip(state.network, _fifo_ranks(state.network)),
+            key=lambda pair: (pair[0].kind, str(pair[0].dst_dir),
+                              str(pair[0].dst_core), pair[0].seq),
+        )
         return (
             tuple(
-                (c.pc, _freeze(c.regs),
+                (c.pc, tuple(sorted(c.regs.items())),
                  _freeze_cached(c.cord) if c.cord else None,
                  c.so_outstanding, c.fence_issued, c.blocked,
                  c.seq_next, c.seq_outstanding)
@@ -1166,13 +1115,8 @@ class ModelChecker:
             tuple(sorted(state.seq_committed.items())),
             tuple(
                 (m.kind, m.dst_dir, m.dst_core, m.frozen_fields(), m.fifo_class,
-                 # preserve relative FIFO order, not absolute seq
-                 sum(1 for o in state.network
-                     if o.fifo_class == m.fifo_class and o.seq < m.seq))
-                for m in sorted(
-                    state.network,
-                    key=lambda m: (m.kind, str(m.dst_dir), str(m.dst_core), m.seq),
-                )
+                 rank)  # relative FIFO order, not absolute seq
+                for m, rank in messages
             ),
         )
 
@@ -1237,7 +1181,7 @@ class ModelChecker:
                 (auto.regs[i].get(r, r), auto.values.get(v, v))
                 for r, v in core.regs.items()
             ))
-            cord = (_permuted_frozen(core.cord, auto, _build_permuted_proc)
+            cord = (_permuted_frozen(core.cord, auto, dirs=auto.dirs)
                     if core.cord is not None else None)
             cores_out[auto.cores[i]] = (
                 core.pc, regs, cord, core.so_outstanding, core.fence_issued,
@@ -1248,7 +1192,7 @@ class ModelChecker:
         values_out: List[Optional[Tuple]] = [None] * total
         for index, directory in enumerate(state.dirs):
             dirs_out[auto.dirs.get(index, index)] = _permuted_frozen(
-                directory, auto, _build_permuted_dir)
+                directory, auto, procs=auto.cores)
         for index, values in enumerate(state.values):
             values_out[auto.dirs.get(index, index)] = tuple(sorted(
                 (auto.addrs.get(a, a), auto.values.get(v, v))
@@ -1259,13 +1203,10 @@ class ModelChecker:
             for (d, c), count in state.seq_committed.items()
         ))
         entries = []
-        for msg in state.network:
+        # Relative FIFO position is invariant (seq order and class
+        # membership are preserved), so compute it on the original.
+        for msg, rel in zip(state.network, _fifo_ranks(state.network)):
             kind, dst_dir, dst_core, fields, fifo = self._perm_msg(msg, auto)
-            # Relative FIFO position is invariant (seq order and class
-            # membership are preserved), so compute it on the original.
-            rel = sum(1 for other in state.network
-                      if other.fifo_class == msg.fifo_class
-                      and other.seq < msg.seq)
             entries.append(((kind, str(dst_dir), str(dst_core), msg.seq),
                             (kind, dst_dir, dst_core, fields, fifo, rel)))
         entries.sort(key=lambda e: e[0])

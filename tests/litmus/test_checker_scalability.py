@@ -104,7 +104,8 @@ class TestIncrementalCloning:
             return new
 
         monkeypatch.setattr(mc._State, "clone", deep_clone)
-        monkeypatch.setattr(mc, "_freeze_cached", mc._freeze)
+        monkeypatch.setattr(mc, "_freeze_cached",
+                            lambda component: component.checker_key())
         reference = ModelChecker(test, protocol).run()
         assert _verdict(incremental) == _verdict(reference)
         assert incremental.states_explored == reference.states_explored
@@ -134,7 +135,7 @@ class TestIncrementalCloning:
         twin.on_relaxed_store(1)
         assert proc.store_counters.get(1) == 1
         assert twin.store_counters.get(1) == 2
-        assert mc._freeze(proc) != mc._freeze(twin)
+        assert proc.checker_key() != twin.checker_key()
 
         directory = CordDirectoryState(0, procs=2, config=config)
         clean = CordProcessorState(1, config)
@@ -165,6 +166,16 @@ class _SlottedChild(_SlottedPair):
         self.z = z
 
 
+class _SlottedComponent:
+    __slots__ = ("epoch",)
+
+    def __init__(self, epoch):
+        self.epoch = epoch
+
+    def checker_key(self):
+        return (self.epoch,)
+
+
 class TestFreeze:
     def test_freeze_slots_only_object(self):
         frozen = mc._freeze(_SlottedPair(1, 2))
@@ -190,20 +201,22 @@ class TestFreeze:
         assert mc._freeze(Point(1, 2)) != mc._freeze(Point(2, 1))
 
     def test_freeze_cached_on_slots_object_recomputes(self):
-        pair = _SlottedPair(1, 2)
-        assert mc._freeze_cached(pair) == mc._freeze(pair)
-        assert not hasattr(pair, "_frozen_memo")
+        component = _SlottedComponent(1)
+        assert mc._freeze_cached(component) == (1,)
+        assert not hasattr(component, "_frozen_memo")
+        component.epoch = 2
+        assert mc._freeze_cached(component) == (2,)
 
     def test_freeze_cached_memo_invisible_and_mutation_safe(self):
         from repro.config import CordConfig
         from repro.core.processor import CordProcessorState
 
         proc = CordProcessorState(0, CordConfig())
-        plain = mc._freeze(proc)
+        plain = proc.checker_key()
         cached = mc._freeze_cached(proc)
         assert cached == plain
-        # The memo attribute itself must not leak into later freezes.
-        assert mc._freeze(proc) == plain
+        # The memo attribute itself must not leak into later keys.
+        assert proc.checker_key() == plain
         # Clones drop the memo, so a mutated clone freezes fresh.
         twin = proc.clone()
         twin.on_relaxed_store(0)
