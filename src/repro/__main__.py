@@ -43,7 +43,7 @@ Executor options (any experiment):
 Bench options (``bench`` only; see ``repro.harness.bench``):
 
     --quick           smoke basket (CI): smaller runs, 1 repeat
-    --repeats N       timing repeats per point (best-of-N; default 3)
+    --repeats N       timing repeats per point (median; default 3)
     --threshold F     fractional events/sec drop tolerated before a point
                       counts as regressed vs BENCH_engine.json (default 0.25)
     --out PATH        output path (default: BENCH_engine.json)
@@ -55,9 +55,6 @@ Modelcheck options (``modelcheck`` only; see ``repro.harness.modelcheck``):
                       (default: full)
     --max-states N    per-case exploration budget (default: 500000)
     --no-por          disable the partial-order reduction
-    --no-symmetry     disable symmetry reduction (orbit canonicalization)
-    --visited-db DIR  spill per-case visited sets to SQLite files in DIR
-                      past 200000 entries
     --gen-count/--gen-seed/--gen-threads/--gen-locs/--gen-values/--gen-ops N
                       bounds for the 'generated' suite (defaults:
                       32/0/2/2/2/3); --gen-atomics adds fetch-and-adds

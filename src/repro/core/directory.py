@@ -8,7 +8,7 @@ timed actors and the model checker.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import CordConfig
 from repro.core.messages import (
@@ -63,7 +63,7 @@ class CordDirectoryState:
         new.notifications_sent = self.notifications_sent
         return new
 
-    def checker_key(self, procs: Optional[Sequence[int]] = None) -> Tuple:
+    def checker_key(self) -> Tuple:
         """The model checker's visited-set form of this state:
         ``(store-counter partitions, notification partitions, sorted
         largest_committed)``, each partition's entries sorted and the
@@ -74,17 +74,10 @@ class CordDirectoryState:
         position) and the tables' names and capacities are the same in
         every state of a run; ``relaxed_committed``,
         ``releases_committed`` and ``notifications_sent`` are statistics.
-        ``procs`` renames processors under a symmetry (``procs[p]`` is
-        ``p``'s image).
         """
-        if procs is None:
-            largest = tuple(sorted(self.largest_committed.items()))
-        else:
-            largest = tuple(sorted((procs[proc], epoch) for proc, epoch
-                                   in self.largest_committed.items()))
-        return (self.store_counters.checker_key(procs),
-                self.notification_counters.checker_key(procs),
-                largest)
+        return (self.store_counters.checker_key(),
+                self.notification_counters.checker_key(),
+                tuple(sorted(self.largest_committed.items())))
 
     # ------------------------------------------------------------------
     # Alg. 2 lines 18-20: Relaxed stores commit immediately.

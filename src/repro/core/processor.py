@@ -13,7 +13,7 @@ This class is pure state — no I/O, no timing — so the timed protocol actors
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import CordConfig
 from repro.core.messages import (
@@ -99,7 +99,7 @@ class CordProcessorState:
         new.on_transition = None
         return new
 
-    def checker_key(self, dirs: Optional[Mapping[int, int]] = None) -> Tuple:
+    def checker_key(self) -> Tuple:
         """The model checker's visited-set form of this state:
         ``(epoch, sorted store-counter entries, sorted unacked entries)``.
 
@@ -107,21 +107,10 @@ class CordProcessorState:
         keyed.  ``config``, ``proc`` (fixed by the core's position) and
         the tables' names, capacities and entry sizes are the same in
         every state of a run; the ``*_issued`` counts, ``stalls`` and
-        ``on_transition`` are statistics and observers.  ``dirs``
-        renames directory ids under a symmetry (ids it omits map to
-        themselves).
+        ``on_transition`` are statistics and observers.
         """
-        if not dirs:
-            return (self.epoch.value, tuple(sorted(self.store_counters)),
-                    tuple(sorted(self.unacked)))
-        rename = dirs.get
-        return (
-            self.epoch.value,
-            tuple(sorted((rename(d, d), count)
-                         for d, count in self.store_counters)),
-            tuple(sorted(((rename(d, d), epoch), flag)
-                         for (d, epoch), flag in self.unacked)),
-        )
+        return (self.epoch.value, tuple(sorted(self.store_counters)),
+                tuple(sorted(self.unacked)))
 
     # ------------------------------------------------------------------
     # Queries

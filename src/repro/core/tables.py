@@ -8,8 +8,7 @@ for the storage-overhead experiments (Fig. 11, Fig. 12).
 
 from __future__ import annotations
 
-from typing import (Dict, Generic, Iterator, List, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 __all__ = ["TableFullError", "BoundedTable", "PartitionedTable"]
 
@@ -137,20 +136,10 @@ class PartitionedTable(Generic[K, V]):
     def remove(self, proc: int, key: K) -> Optional[V]:
         return self.partition(proc).remove(key)
 
-    def checker_key(self, procs: Optional[Sequence[int]] = None) -> Tuple:
-        """Each partition's sorted entries, in processor order.
-
-        ``procs`` renames processors (``procs[p]`` is processor ``p``'s
-        image under a symmetry); partition ``p`` then sits at position
-        ``procs[p]``.  Entry keys are epochs, which no renaming touches.
-        """
-        parts = [tuple(sorted(table)) for table in self._partitions.values()]
-        if procs is None:
-            return tuple(parts)
-        placed: List[Tuple] = [()] * len(parts)
-        for proc, part in zip(self._partitions, parts):
-            placed[procs[proc]] = part
-        return tuple(placed)
+    def checker_key(self) -> Tuple:
+        """Each partition's sorted entries, in processor order."""
+        return tuple([tuple(sorted(table))
+                      for table in self._partitions.values()])
 
     def clone(self) -> "PartitionedTable[K, V]":
         """An independent copy with every partition cloned."""

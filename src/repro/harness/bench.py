@@ -180,26 +180,6 @@ def _modelcheck_runner(quick: bool) -> Callable[[], Tuple[int, float]]:
     return run
 
 
-def _modelcheck_symmetry_runner(quick: bool) -> Callable[[], Tuple[int, float]]:
-    # The symmetry-reduction point: fully symmetric shapes (SB, 2+2W,
-    # IRIW) under CORD with canonicalization on, so the visited set holds
-    # orbit representatives.  Events are explored (canonical) states.
-    def run() -> Tuple[int, float]:
-        from repro.litmus.model_checker import ModelChecker
-        from repro.litmus.suite import classic_tests
-        prefixes = ("SB",) if quick else ("SB", "2+2W", "IRIW")
-        tests = [t for t in classic_tests() if t.name.startswith(prefixes)]
-        if quick:
-            tests = tests[:2]
-        states = 0
-        for test in tests:
-            result = ModelChecker(test, protocol="cord", symmetry=True).run()
-            states += result.states_explored
-        return states, 0.0
-
-    return run
-
-
 def _litmus_runner(quick: bool) -> Callable[[], Tuple[int, float]]:
     def run() -> Tuple[int, float]:
         from repro.litmus import run_timed
@@ -231,7 +211,6 @@ def bench_points(quick: bool = False) -> List[Tuple[str, Callable[[], Tuple[int,
         ("fig2.cxl", _fig2_runner(quick)),
         ("litmus.classic", _litmus_runner(quick)),
         ("modelcheck", _modelcheck_runner(quick)),
-        ("modelcheck.sym", _modelcheck_symmetry_runner(quick)),
     ]
 
 
@@ -247,7 +226,7 @@ def run_basket(quick: bool = False,
     direction, unlike best-of-N which systematically flatters the result.
 
     ``totals.events_per_sec`` aggregates only the *timed-simulation*
-    points (``sim_time_ns > 0``): the ``modelcheck*`` points count
+    points (``sim_time_ns > 0``): the ``modelcheck`` point counts
     explored states, not kernel events, and folding states/second into an
     events/second total made the headline number meaningless.
     ``totals.events``/``totals.wall_s`` still cover the whole basket.

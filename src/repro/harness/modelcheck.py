@@ -19,22 +19,13 @@ sweeps get the same infrastructure as the figure experiments:
 The cache key includes the repo-wide code version, so editing the model
 checker or any protocol state machine invalidates cached verdicts; an
 unchanged tree re-verifies the whole suite from cache in milliseconds.
-
-The one execution-environment knob — ``--visited-db DIR``, the
-disk-backed visited set — deliberately stays *out* of :class:`CheckSpec`
-(it is plumbed via ``REPRO_MODELCHECK_VISITED_DB``): the verdict artifact
-is identical wherever the visited set was stored, so a suite checked in
-memory is a warm cache for the same suite re-run with ``--visited-db``
-and vice versa.  ``--symmetry`` is a :class:`CheckSpec` field — it
-changes the search, and flipping it is exactly what the soundness
-differential wants to re-explore.  Cases run in parallel only through the
-executor's ``--jobs``; each case is explored serially.
+Cases run in parallel only through the executor's ``--jobs``; each case
+is explored serially.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -53,9 +44,6 @@ __all__ = [
     "run_modelcheck_cli",
 ]
 
-#: Directory for per-case spillable visited sets (``--visited-db``).
-_VISITED_DB_ENV = "REPRO_MODELCHECK_VISITED_DB"
-
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -73,7 +61,6 @@ class CheckSpec:
     tso: bool = False
     max_states: int = 500_000
     por: bool = True
-    symmetry: bool = True
     experiment: str = "modelcheck"
     kind: str = "modelcheck"
 
@@ -176,17 +163,8 @@ def _execute_check(spec: CheckSpec,
     exploration has no timed message trace.  Runs with ``partial=True``
     so a budget-exhausted case records ``complete=False`` (and fails)
     instead of aborting the rest of the sweep.
-
-    ``REPRO_MODELCHECK_VISITED_DB`` (directory for per-case spillable
-    visited sets) comes from the environment, not the spec, so it never
-    perturbs the cache key (see the module docstring).
     """
     from repro.litmus.model_checker import ModelChecker
-
-    key = spec_key(spec)
-    visited_dir = os.environ.get(_VISITED_DB_ENV) or None
-    visited_db = (os.path.join(visited_dir, key + ".visited.sqlite")
-                  if visited_dir else None)
 
     started = time.perf_counter()
     checker = ModelChecker(
@@ -196,8 +174,6 @@ def _execute_check(spec: CheckSpec,
         tso=spec.tso,
         max_states=spec.max_states,
         por=spec.por,
-        symmetry=spec.symmetry,
-        visited_db=visited_db,
         partial=True,
         stats=StatRegistry(),
     )
@@ -208,7 +184,7 @@ def _execute_check(spec: CheckSpec,
     ]
     passed = result.passed and result.complete and not required_missing
     return CheckRecord(
-        spec_key=key,
+        spec_key=spec_key(spec),
         experiment=spec.experiment,
         kind=spec.kind,
         protocol=spec.protocol,
@@ -286,11 +262,11 @@ def suite_cases(suite: str, gen_count: int = 32, gen_seed: int = 0,
 
 
 def make_specs(cases: List[CaseSpec], max_states: int = 500_000,
-               por: bool = True, symmetry: bool = True) -> List[CheckSpec]:
+               por: bool = True) -> List[CheckSpec]:
     return [
         CheckSpec(test=case.test, protocol=case.protocol,
                   cord_config=case.cord_config, tso=case.tso,
-                  max_states=max_states, por=por, symmetry=symmetry)
+                  max_states=max_states, por=por)
         for case in cases
     ]
 
@@ -302,9 +278,8 @@ def run_modelcheck_cli(argv: List[str]) -> int:
     """``python -m repro modelcheck [SUITE] [options]``.
 
     SUITE is ``quick``, ``classic``, ``custom``, ``generated`` or ``full``
-    (default).  Options: ``--max-states N``, ``--no-por``,
-    ``--no-symmetry``, ``--visited-db DIR`` (disk-backed visited sets),
-    the ``generated``-suite shape flags
+    (default).  Options: ``--max-states N``, ``--no-por``, the
+    ``generated``-suite shape flags
     ``--gen-count/--gen-seed/--gen-threads/--gen-locs/--gen-values/
     --gen-ops/--gen-atomics``, and the executor flags ``--jobs N``,
     ``--cache-dir PATH``, ``--no-cache``, ``--run-log PATH``.
@@ -315,8 +290,6 @@ def run_modelcheck_cli(argv: List[str]) -> int:
     suite = "full"
     max_states = 500_000
     por = True
-    symmetry = True
-    visited_db: Optional[str] = None
     jobs = 1
     cache_dir: Optional[str] = str(default_cache_dir())
     run_log: Optional[str] = None
@@ -326,7 +299,7 @@ def run_modelcheck_cli(argv: List[str]) -> int:
 
     int_flags = {"--max-states", "--jobs", "--gen-count", "--gen-threads",
                  "--gen-locs", "--gen-values", "--gen-ops", "--gen-seed"}
-    value_flags = int_flags | {"--cache-dir", "--run-log", "--visited-db"}
+    value_flags = int_flags | {"--cache-dir", "--run-log"}
 
     index = 0
     while index < len(argv):
@@ -341,8 +314,6 @@ def run_modelcheck_cli(argv: List[str]) -> int:
                 cache_dir = value
             elif arg == "--run-log":
                 run_log = value
-            elif arg == "--visited-db":
-                visited_db = value
             else:
                 try:
                     number = int(value)
@@ -369,16 +340,13 @@ def run_modelcheck_cli(argv: List[str]) -> int:
                     gen_ops = number
         elif arg == "--no-por":
             por = False
-        elif arg in ("--no-symmetry", "--symmetry"):
-            symmetry = arg == "--symmetry"
         elif arg == "--gen-atomics":
             gen_atomics = True
         elif arg == "--no-cache":
             cache_dir = None
         elif arg.startswith("-"):
             print(f"unknown modelcheck option {arg!r}; supported: SUITE "
-                  "--max-states N --no-por --symmetry/--no-symmetry "
-                  "--visited-db DIR "
+                  "--max-states N --no-por "
                   "--gen-count/--gen-seed/--gen-threads/--gen-locs/"
                   "--gen-values/--gen-ops N --gen-atomics --jobs N "
                   "--cache-dir PATH --no-cache --run-log PATH")
@@ -399,23 +367,10 @@ def run_modelcheck_cli(argv: List[str]) -> int:
     except ValueError as err:
         print(err)
         return 2
-    specs = make_specs(cases, max_states=max_states, por=por,
-                       symmetry=symmetry)
+    specs = make_specs(cases, max_states=max_states, por=por)
     executor = Executor(jobs=jobs, cache_dir=cache_dir, run_log=run_log)
-
-    def set_visited_env(value: Optional[str]) -> None:
-        if value is None:
-            os.environ.pop(_VISITED_DB_ENV, None)
-        else:
-            os.environ[_VISITED_DB_ENV] = value
-
-    saved = os.environ.get(_VISITED_DB_ENV)
-    set_visited_env(visited_db)
     started = time.perf_counter()
-    try:
-        records = executor.map(specs)
-    finally:
-        set_visited_env(saved)
+    records = executor.map(specs)
     wall = time.perf_counter() - started
 
     failed = [r for r in records if not r.passed]

@@ -28,13 +28,6 @@ from repro.litmus.generate import (
     generated_suite,
 )
 from repro.litmus.random_walk import RandomWalkResult, random_walk
-from repro.litmus.symmetry import Automorphism, find_automorphisms
-from repro.litmus.visited import (
-    MemoryVisitedSet,
-    SqliteVisitedSet,
-    VisitedSet,
-    make_visited,
-)
 from repro.litmus.runner import (
     FaultSweepReport,
     FuzzReport,
@@ -73,14 +66,7 @@ __all__ = [
     "GeneratorParams",
     "generate_test",
     "generated_suite",
-    "Automorphism",
-    "find_automorphisms",
-    "VisitedSet",
-    "MemoryVisitedSet",
-    "SqliteVisitedSet",
-    "make_visited",
     "classic_tests",
-
     "custom_tests",
     "full_suite",
     "run_suite",

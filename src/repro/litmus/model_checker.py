@@ -63,9 +63,8 @@ enabled transition) along with a witness of the first deadlocked state.
 from __future__ import annotations
 
 import enum
-import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CordConfig, SystemConfig
@@ -73,11 +72,8 @@ from repro.consistency.checker import Violation, check_rc
 from repro.consistency.history import EventKind, ExecutionHistory
 from repro.consistency.ops import MemOp, OpKind, Ordering
 from repro.core.directory import CordDirectoryState
-from repro.core.messages import NotifyMeta, ReleaseMeta, RelaxedMeta, ReqNotifyMeta
 from repro.core.processor import CordProcessorState
 from repro.litmus.dsl import LitmusTest
-from repro.litmus.symmetry import Automorphism, find_automorphisms
-from repro.litmus.visited import make_visited
 from repro.memory.address import AddressMap
 from repro.protocols.factory import validate_checkable_protocol
 from repro.protocols.spec import (
@@ -318,54 +314,6 @@ def _fifo_ranks(network: Sequence["_Msg"]) -> List[int]:
         sent[msg.fifo_class] = rank + 1
         ranks.append(rank)
     return ranks
-
-
-# ---------------------------------------------------------------------------
-# Symmetry: component permutation (DESIGN.md §4.11)
-# ---------------------------------------------------------------------------
-# A permuted key is built straight from the source state through the
-# automorphism's maps: core ``i``'s entry moves to position ``σ(i)``,
-# directory ``d``'s to ``δ(d)``, and every core, directory, address, value
-# and register id inside an entry is renamed.  The CORD components rename
-# their own table entries (``checker_key(dirs=...)`` for a processor,
-# ``checker_key(procs=...)`` for a directory), and the result is memoized
-# on the component per automorphism (``_frozen_perm``, dropped by every
-# clone, like ``_freeze_cached``'s memo), so COW sharing amortizes it
-# across states.  ``_permuted_key(state, identity)`` equals
-# ``_key(state)``; a test pins that over ISA2, SB and IRIW.
-
-def _digest_of(key: Any) -> bytes:
-    """Canonical 128-bit digest of a visited-set key.
-
-    ``repr`` is injective and deterministic on the key domain (nested
-    tuples of ints, strings, bools and None — ``_freeze`` and the CORD
-    components' ``checker_key`` leave no live objects), unlike ``pickle``, whose memoization makes the
-    byte stream depend on internal object sharing.
-    """
-    return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
-
-
-def _permuted_frozen(component: Any, auto: Automorphism,
-                     **renaming: Any) -> Tuple:
-    """``checker_key()`` of the component's ``auto``-image: its own
-    ``checker_key(**renaming)``, memoized per automorphism."""
-    memo = component.__dict__.get("_frozen_perm")
-    if memo is None:
-        memo = {}
-        component._frozen_perm = memo
-    form = memo.get(auto.index)
-    if form is None:
-        form = memo[auto.index] = component.checker_key(**renaming)
-    return form
-
-
-def _permute_meta(meta: Any, auto: Automorphism) -> Any:
-    if isinstance(meta, ReqNotifyMeta):
-        return replace(meta, proc=auto.cores[meta.proc],
-                       noti_dst=auto.dirs.get(meta.noti_dst, meta.noti_dst))
-    if isinstance(meta, (RelaxedMeta, ReleaseMeta, NotifyMeta)):
-        return replace(meta, proc=auto.cores[meta.proc])
-    raise TypeError("cannot permute meta {!r}".format(meta))
 
 
 @dataclass
@@ -649,24 +597,7 @@ class ModelChecker:
     stats:
         Optional :class:`~repro.sim.stats.StatRegistry`; when given, the
         run accumulates ``modelcheck.*`` counters (states, transitions,
-        visited hits, POR prunes, peak frontier, wall seconds, symmetry
-        canonicalizations) into it.
-    symmetry:
-        Canonicalize visited-set keys under the litmus test's
-        automorphism group (core-id, location/address, value and
-        register permutations — see :mod:`repro.litmus.symmetry` and
-        DESIGN.md §4.11).  Sound: final-outcome sets are recorded
-        orbit-expanded, so verdicts and outcome sets match the
-        unreduced exploration exactly.  Tests with a trivial group pay
-        nothing.
-    visited_db:
-        Path for a disk-backed visited set: exploration starts in RAM
-        and spills to SQLite at ``spill_threshold`` entries, bounding
-        memory for overnight full-bound runs.  None keeps the visited
-        set purely in memory.
-    spill_threshold:
-        Entry count at which a ``visited_db`` run spills to disk
-        (default :data:`repro.litmus.visited.DEFAULT_SPILL_THRESHOLD`).
+        visited hits, POR prunes, peak frontier, wall seconds) into it.
     """
 
     def __init__(
@@ -681,9 +612,6 @@ class ModelChecker:
         partial: bool = False,
         por: bool = True,
         stats: Optional[StatRegistry] = None,
-        symmetry: bool = True,
-        visited_db: Optional[str] = None,
-        spill_threshold: Optional[int] = None,
     ) -> None:
         self.test = test
         self.protocol = protocol
@@ -701,9 +629,6 @@ class ModelChecker:
         self.partial = partial
         self.por = por
         self.stats = stats
-        self.symmetry = symmetry
-        self.visited_db = visited_db
-        self.spill_threshold = spill_threshold
         self.address_map = AddressMap(self.config)
         self.programs = test.compile(self.config)
         self.core_protocols = list(
@@ -721,10 +646,6 @@ class ModelChecker:
         for spec in self._specs:
             self._delivery_rules.update(spec.delivery)
         self._fifo_classes: Dict[Tuple[str, Optional[str]], Any] = {}
-        self._autos: List[Automorphism] = (
-            find_automorphisms(self) if symmetry else []
-        )
-        self._sym_canon = 0
 
     # ------------------------------------------------------------------
     # State construction
@@ -1120,119 +1041,6 @@ class ModelChecker:
             ),
         )
 
-    # ------------------------------------------------------------------
-    # Symmetry canonicalization (DESIGN.md §4.11)
-    # ------------------------------------------------------------------
-    def _perm_msg(self, msg: _Msg, auto: Automorphism) -> Tuple:
-        """Permuted ``(kind, dst_dir, dst_core, frozen_fields, fifo)`` of an
-        in-flight message, memoized per automorphism (messages are
-        immutable once sent and shared across states)."""
-        memo = msg.__dict__.get("_frozen_perm")
-        if memo is None:
-            memo = {}
-            msg._frozen_perm = memo
-        entry = memo.get(auto.index)
-        if entry is None:
-            dst_dir = (auto.dirs.get(msg.dst_dir, msg.dst_dir)
-                       if msg.dst_dir is not None else None)
-            dst_core = (auto.cores[msg.dst_core]
-                        if msg.dst_core is not None else None)
-            # atomic_resp has no "core" field; the register belongs to the
-            # destination (issuing) core.
-            owner = msg.fields.get("core", msg.dst_core)
-            fields: Dict[str, Any] = {}
-            for name, value in msg.fields.items():
-                if value is None:
-                    fields[name] = None
-                elif name == "core":
-                    fields[name] = auto.cores[value]
-                elif name == "addr":
-                    fields[name] = auto.addrs.get(value, value)
-                elif name in ("value", "old", "compare"):
-                    fields[name] = auto.values.get(value, value)
-                elif name == "dir":
-                    fields[name] = auto.dirs.get(value, value)
-                elif name == "register":
-                    fields[name] = auto.regs[owner].get(value, value)
-                elif name == "meta":
-                    fields[name] = _permute_meta(value, auto)
-                else:  # pc, ordering, seq, ordered, atomic flavour
-                    fields[name] = value
-            if msg.fifo_class is None:
-                fifo = None
-            elif msg.fifo_class[0] == "addr":
-                _, core, addr = msg.fifo_class
-                fifo = ("addr", auto.cores[core], auto.addrs.get(addr, addr))
-            else:
-                core, directory = msg.fifo_class
-                fifo = (auto.cores[core],
-                        auto.dirs.get(directory, directory))
-            entry = (msg.kind, dst_dir, dst_core, _freeze(fields), fifo)
-            memo[auto.index] = entry
-        return entry
-
-    def _permuted_key(self, state: _State, auto: Automorphism) -> Tuple:
-        """The key :meth:`_key` would produce for the ``auto``-image of
-        ``state`` — built without materializing the permuted state."""
-        threads = self.test.threads
-        cores_out: List[Optional[Tuple]] = [None] * threads
-        for i, core in enumerate(state.cores):
-            regs = tuple(sorted(
-                (auto.regs[i].get(r, r), auto.values.get(v, v))
-                for r, v in core.regs.items()
-            ))
-            cord = (_permuted_frozen(core.cord, auto, dirs=auto.dirs)
-                    if core.cord is not None else None)
-            cores_out[auto.cores[i]] = (
-                core.pc, regs, cord, core.so_outstanding, core.fence_issued,
-                core.blocked, core.seq_next, core.seq_outstanding,
-            )
-        total = len(state.dirs)
-        dirs_out: List[Optional[Tuple]] = [None] * total
-        values_out: List[Optional[Tuple]] = [None] * total
-        for index, directory in enumerate(state.dirs):
-            dirs_out[auto.dirs.get(index, index)] = _permuted_frozen(
-                directory, auto, procs=auto.cores)
-        for index, values in enumerate(state.values):
-            values_out[auto.dirs.get(index, index)] = tuple(sorted(
-                (auto.addrs.get(a, a), auto.values.get(v, v))
-                for a, v in values.items()
-            ))
-        seq_out = tuple(sorted(
-            ((auto.dirs.get(d, d), auto.cores[c]), count)
-            for (d, c), count in state.seq_committed.items()
-        ))
-        entries = []
-        # Relative FIFO position is invariant (seq order and class
-        # membership are preserved), so compute it on the original.
-        for msg, rel in zip(state.network, _fifo_ranks(state.network)):
-            kind, dst_dir, dst_core, fields, fifo = self._perm_msg(msg, auto)
-            entries.append(((kind, str(dst_dir), str(dst_core), msg.seq),
-                            (kind, dst_dir, dst_core, fields, fifo, rel)))
-        entries.sort(key=lambda e: e[0])
-        return (
-            tuple(cores_out), tuple(dirs_out), tuple(values_out), seq_out,
-            tuple(entry for _, entry in entries),
-        )
-
-    def _canonical_digest(self, state: _State) -> bytes:
-        """Orbit-canonical digest: the minimum of the state's own key
-        digest and every automorphic image's.  States in the same orbit
-        share it, so the visited set prunes whole orbits."""
-        best = identity = _digest_of(self._key(state))
-        for auto in self._autos:
-            candidate = _digest_of(self._permuted_key(state, auto))
-            if candidate < best:
-                best = candidate
-        if best != identity:
-            self._sym_canon += 1
-        return best
-
-    def _state_key(self, state: _State, digest_mode: bool) -> Any:
-        if digest_mode:
-            return self._canonical_digest(state)
-        return self._key(state)
-
     def _is_final(self, state: _State) -> bool:
         return (
             all(
@@ -1277,34 +1085,10 @@ class ModelChecker:
                 history.set_register(core_index, register, value)
         return history
 
-    def _permuted_history(self, state: _State,
-                          auto: Automorphism) -> ExecutionHistory:
-        """The execution history the ``auto``-image run would have logged
-        (same interleaving order, permuted identities)."""
-        history = ExecutionHistory()
-        for core_index, pc, kind, ordering, addr, value in state.events:
-            history.record(
-                auto.cores[core_index], pc, kind, ordering,
-                addr=auto.addrs.get(addr, addr),
-                value=auto.values.get(value, value),
-            )
-        for core_index, core in enumerate(state.cores):
-            renaming = auto.regs[core_index]
-            for register, value in core.regs.items():
-                history.set_register(
-                    auto.cores[core_index], renaming.get(register, register),
-                    auto.values.get(value, value),
-                )
-        return history
-
     def _record_final(self, state: _State,
                       finals: Dict[Tuple, FinalState]) -> None:
-        """Record a terminal state's outcome — and, under symmetry, its
-        entire orbit.  Orbit expansion is what keeps the reported outcome
-        set *exactly* equal to the unreduced exploration's: a pruned orbit
-        member's finals are the automorphic images of its representative's
-        (DESIGN.md §4.11), each validated against its own permuted history
-        so RC verdicts stay honest per outcome."""
+        """Record a terminal state's outcome, validating its history
+        against the axiomatic RC checker the first time it is seen."""
         memory = {
             "mem:" + loc: self._read(
                 state, self.test.resolve_address(self.config, loc)
@@ -1324,38 +1108,12 @@ class ModelChecker:
                 history=history,
                 violations=check_rc(history),
             )
-        for auto in self._autos:
-            perm_memory = {
-                "mem:" + auto.locs.get(loc, loc):
-                    auto.values.get(memory["mem:" + loc], memory["mem:" + loc])
-                for loc in self.test.locations
-            }
-            perm_key = _freeze(dict(
-                {"P{}:{}".format(auto.cores[i], auto.regs[i].get(r, r)):
-                     auto.values.get(v, v)
-                 for i, c in enumerate(state.cores)
-                 for r, v in c.regs.items()},
-                **perm_memory,
-            ))
-            if perm_key not in finals:
-                history = self._permuted_history(state, auto)
-                finals[perm_key] = FinalState(
-                    outcome=dict(history.register_outcome(), **perm_memory),
-                    history=history,
-                    violations=check_rc(history),
-                )
 
     def run(self) -> CheckResult:
         """Exhaustively explore; returns all distinct final outcomes."""
         started = time.perf_counter()
-        self._sym_canon = 0
-        visited = make_visited(self.visited_db, self.spill_threshold)
-        # Raw key tuples are the historical fast path; digests are needed
-        # once keys must be canonicalized (symmetry) or stored compactly
-        # on disk.
-        digest_mode = bool(self._autos) or visited.wants_bytes
         initial = self._initial()
-        visited.add(self._state_key(initial, digest_mode))
+        visited = {self._key(initial)}
         stack = [initial]
         finals: Dict[Tuple, FinalState] = {}
         deadlocks = 0
@@ -1367,39 +1125,39 @@ class ModelChecker:
         first_deadlock: Optional[DeadlockWitness] = None
         complete = True
 
-        try:
-            while stack:
-                state = stack.pop()
-                explored += 1
-                if explored > self.max_states:
-                    explored -= 1  # this state was not expanded
-                    complete = False
-                    break
-                actions = self._enabled(state)
-                if not actions:
-                    if self._is_final(state):
-                        self._record_final(state, finals)
-                    else:
-                        deadlocks += 1
-                        if first_deadlock is None:
-                            first_deadlock = self._witness(state)
-                    continue
-                if self.por:
-                    reduced = self._reduce(state, actions)
-                    ample_pruned += len(actions) - len(reduced)
-                    actions = reduced
-                for action in actions:
-                    successor = self._apply(state, action)
-                    transitions += 1
-                    if visited.add(self._state_key(successor, digest_mode)):
-                        stack.append(successor)
-                        if len(stack) > peak_frontier:
-                            peak_frontier = len(stack)
-                    else:
-                        visited_hits += 1
-            spilled = visited.spilled
-        finally:
-            visited.close()
+        while stack:
+            state = stack.pop()
+            explored += 1
+            if explored > self.max_states:
+                explored -= 1  # this state was not expanded
+                complete = False
+                break
+            actions = self._enabled(state)
+            if not actions:
+                if self._is_final(state):
+                    self._record_final(state, finals)
+                else:
+                    deadlocks += 1
+                    if first_deadlock is None:
+                        first_deadlock = self._witness(state)
+                continue
+            if self.por:
+                reduced = self._reduce(state, actions)
+                ample_pruned += len(actions) - len(reduced)
+                actions = reduced
+            for action in actions:
+                successor = self._apply(state, action)
+                transitions += 1
+                # One hash per successor (tuple hashes are not cached):
+                # the set grew iff the key is new.
+                seen = len(visited)
+                visited.add(self._key(successor))
+                if len(visited) != seen:
+                    stack.append(successor)
+                    if len(stack) > peak_frontier:
+                        peak_frontier = len(stack)
+                else:
+                    visited_hits += 1
 
         elapsed = time.perf_counter() - started
         run_stats = {
@@ -1410,9 +1168,6 @@ class ModelChecker:
                                  if transitions else 0.0),
             "peak_frontier": float(peak_frontier),
             "ample_pruned": float(ample_pruned),
-            "automorphisms": float(len(self._autos)),
-            "symmetry_canon": float(self._sym_canon),
-            "visited_spilled": 1.0 if spilled else 0.0,
             "wall_s": elapsed,
             "states_per_sec": explored / elapsed if elapsed > 0 else 0.0,
         }
@@ -1448,8 +1203,6 @@ class ModelChecker:
             run_stats["visited_hits"])
         self.stats.counter("modelcheck.ample_pruned").add(
             run_stats["ample_pruned"])
-        self.stats.counter("modelcheck.symmetry_canon").add(
-            run_stats["symmetry_canon"])
         self.stats.counter("modelcheck.wall_s").add(run_stats["wall_s"])
         self.stats.max_tracker("modelcheck.frontier").set(
             run_stats["peak_frontier"])

@@ -1275,15 +1275,6 @@ class LintError(ValueError):
     """A shipped table violates a structural invariant."""
 
 
-#: Message field names the checker's symmetry permutation understands
-#: (see ``ModelChecker._perm_msg``); emitting any other field would make
-#: orbit canonicalization silently identity-blind to it.
-_PERMUTABLE_FIELDS = frozenset({
-    "core", "addr", "value", "old", "compare", "dir", "register", "meta",
-    "pc", "ordering", "seq", "ordered", "atomic", "upto", "proc", "epoch",
-})
-
-
 def lint_spec(spec: ProtocolSpec) -> List[str]:
     """Structural problems in one table (empty list = clean).
 
@@ -1326,14 +1317,7 @@ def lint_spec(spec: ProtocolSpec) -> List[str]:
                 f"a guard but disagree on escape")
         by_guard[(rule.guard, rule.op_class)] = rule
 
-    emitted, fields_by_message = _emitted_messages(spec)
-    for name, fields in sorted(fields_by_message.items()):
-        stray = fields - _PERMUTABLE_FIELDS
-        if stray:
-            problems.append(
-                f"{spec.name}: {name!r} emits fields {sorted(stray)} the "
-                f"symmetry permutation does not understand")
-    for name in emitted:
+    for name in _emitted_messages(spec):
         message = spec.messages.get(name)
         if message is None:
             problems.append(
@@ -1442,16 +1426,13 @@ def _scratch_core_state(spec: ProtocolSpec) -> Any:
 def _emitted_messages(spec: ProtocolSpec):
     """Message names the spec's issue rules can emit (discovered by
     driving the rules against scratch state) plus the delivery-side
-    replies, and the protocol field names each emission carried."""
+    replies."""
     emitted = set()
-    fields_by_message: Dict[str, set] = {}
 
     for (op_class, ordered), rule in spec.issue.items():
         ps = _scratch_core_state(spec)
         for emit in rule.effects(ps, 0, ordered):
             emitted.add(emit.message)
-            fields_by_message.setdefault(emit.message, set()).update(
-                emit.fields)
     # Delivery replies (acks, notifications, responses) are emissions too.
     reply_of = {
         "wt_store": ["so_ack"],
@@ -1464,4 +1445,4 @@ def _emitted_messages(spec: ProtocolSpec):
         for reply in reply_of.get(name, ()):
             if name in spec.delivery or name in emitted:
                 emitted.add(reply)
-    return sorted(emitted), fields_by_message
+    return sorted(emitted)

@@ -27,19 +27,19 @@ class TestBasket:
     def test_basket_names_are_fixed(self):
         names = [name for name, _runner in bench_points(quick=True)]
         assert names == ["micro.kernel", "micro.tardis", "fig2.cxl",
-                         "litmus.classic", "modelcheck", "modelcheck.sym"]
+                         "litmus.classic", "modelcheck"]
         assert names == [name for name, _ in bench_points(quick=False)]
 
     def test_payload_is_schema_valid(self, quick_payload):
         validate_payload(quick_payload)  # must not raise
         assert quick_payload["schema"] == SCHEMA_VERSION
         assert quick_payload["quick"] is True
-        assert len(quick_payload["points"]) == 6
+        assert len(quick_payload["points"]) == 5
         for point in quick_payload["points"]:
             assert point["events"] > 0
             assert point["wall_s"] > 0
             assert point["events_per_sec"] > 0
-            if point["name"].startswith("modelcheck"):
+            if point["name"] == "modelcheck":
                 # State exploration is untimed: no simulated clock.
                 assert point["sim_time_ns"] == 0.0
             else:
@@ -53,7 +53,7 @@ class TestBasket:
         assert micro["events"] >= 50_000
 
     def test_totals_exclude_untimed_points(self, quick_payload):
-        # modelcheck* rows count explored states with sim_time_ns == 0;
+        # The modelcheck row counts explored states with sim_time_ns == 0;
         # folding states/sec into the headline events/sec made the total
         # meaningless.  totals.events still covers the whole basket.
         timed = [p for p in quick_payload["points"] if p["sim_time_ns"] > 0]

@@ -128,31 +128,6 @@ class TestCacheAndParallel:
                 == [verdict_dict(r) for r in pooled])
 
 
-class TestWarmCache:
-    def test_visited_db_setting_reuses_in_memory_cache(self, tmp_path,
-                                                       monkeypatch):
-        """The visited-set location stays out of the spec key: a suite
-        checked in memory is a warm cache for the same suite under
-        --visited-db."""
-        case = next(c for c in suite_cases("full")
-                    if c.test.name == "ISA2.split" and c.protocol == "cord")
-        specs = make_specs([case])
-        cache = str(tmp_path / "cache")
-        cold = Executor(jobs=1, cache_dir=cache)
-        records = cold.map(specs)
-        assert cold.misses == 1 and not records[0].cached
-
-        visited_dir = tmp_path / "visited"
-        visited_dir.mkdir()
-        monkeypatch.setenv("REPRO_MODELCHECK_VISITED_DB", str(visited_dir))
-        warm = Executor(jobs=1, cache_dir=cache)
-        reused = warm.map(specs)
-        assert warm.hits == 1 and warm.misses == 0
-        assert reused[0].cached
-        assert reused[0].states_explored == records[0].states_explored
-        assert list(visited_dir.iterdir()) == []
-
-
 class TestSuites:
     def test_quick_suite_is_curated_subset(self):
         quick = {case.name for case in suite_cases("quick")}
@@ -192,14 +167,17 @@ class TestCli:
         assert main(["modelcheck", "--jobs"]) == 2
         assert main(["modelcheck", "--jobs", "zero"]) == 2
         assert main(["modelcheck", "no-such-suite"]) == 2
-        # Flags of the deleted sharded frontier fail fast, and the
-        # supported-options list does not offer them.
-        for removed, value in (("--parallel", "2"),
-                               ("--spill-threshold", "5")):
+        # Flags of the deleted sharded frontier, symmetry reduction and
+        # SQLite visited set fail fast, and the supported-options list
+        # does not offer them.
+        removed_flags = (["--parallel", "2"], ["--spill-threshold", "5"],
+                         ["--symmetry"], ["--no-symmetry"],
+                         ["--visited-db", "x"])
+        for flag in removed_flags:
             capsys.readouterr()
-            assert main(["modelcheck", "quick", removed, value]) == 2
+            assert main(["modelcheck", "quick", *flag]) == 2
             message = capsys.readouterr().out
-            assert f"unknown modelcheck option {removed!r}" in message
+            assert f"unknown modelcheck option {flag[0]!r}" in message
             supported = message.split("supported:", 1)[1]
-            assert "--parallel" not in supported
-            assert "--spill-threshold" not in supported
+            for other in removed_flags:
+                assert other[0] not in supported

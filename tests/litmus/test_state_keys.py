@@ -1,5 +1,4 @@
-"""Visited-set keys: completeness of the CORD component keys and agreement
-between the checker's two key builders.
+"""Visited-set keys: completeness of the CORD component keys.
 
 The checker keys each CORD processor/directory state by its compact
 ``checker_key()``, which lists the keyed fields by hand.  The guard below
@@ -17,9 +16,6 @@ from repro.core.processor import CordProcessorState
 from repro.core.seqnum import SequenceSpace
 from repro.core.tables import BoundedTable, PartitionedTable
 from repro.litmus import model_checker as mc
-from repro.litmus.model_checker import ModelChecker
-from repro.litmus.suite import classic_tests
-from repro.litmus.symmetry import Automorphism
 
 #: class -> (keyed, static per checker run, statistics and observers).
 #: Static fields are the same in every state of one run or fixed by the
@@ -115,42 +111,3 @@ class TestKeyCompleteness:
         proc.store_counters.insertions = 9
         assert proc.checker_key() == key
 
-
-def _identity(threads):
-    return Automorphism(index=-1, cores=tuple(range(threads)),
-                        regs=tuple({} for _ in range(threads)),
-                        locs={}, addrs={}, dirs={}, values={})
-
-
-def _reachable(checker):
-    """Every state the checker's DFS visits (same reduction, raw keys)."""
-    initial = checker._initial()
-    seen = {checker._key(initial)}
-    stack, states = [initial], [initial]
-    while stack:
-        state = stack.pop()
-        actions = checker._enabled(state)
-        if checker.por:
-            actions = checker._reduce(state, actions)
-        for action in actions:
-            successor = checker._apply(state, action)
-            key = checker._key(successor)
-            if key not in seen:
-                seen.add(key)
-                stack.append(successor)
-                states.append(successor)
-    return states
-
-
-class TestKeyAgreement:
-    @pytest.mark.parametrize("protocol", ["cord", "so", "tardis"])
-    @pytest.mark.parametrize("name", ["ISA2.split", "SB.split", "IRIW.split"])
-    def test_identity_permuted_key_equals_key(self, name, protocol):
-        test = next(t for t in classic_tests() if t.name == name)
-        checker = ModelChecker(test, protocol=protocol, symmetry=False)
-        identity = _identity(test.threads)
-        states = _reachable(checker)
-        assert len(states) == checker.run().states_explored
-        for state in states:
-            assert checker._permuted_key(state, identity) == \
-                checker._key(state)

@@ -2,8 +2,7 @@
 
 Folded into the default pytest run so a malformed table (a message with
 no ordering class, an issue row with a dangling escape, a delivery rule
-for an undeclared message, an emitted field the symmetry permutation
-would be blind to) fails CI before any equivalence suite runs.
+for an undeclared message) fails CI before any equivalence suite runs.
 """
 
 import pytest
