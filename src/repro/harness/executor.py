@@ -618,6 +618,9 @@ class Executor:
             "trace_path": record.trace_path,
             "faults_injected": record.stat("faults.injected"),
         }
+        verdict = getattr(record, "run_log_verdict", None)
+        if verdict is not None:
+            line.update(verdict())
         self.run_log.parent.mkdir(parents=True, exist_ok=True)
         with self.run_log.open("a") as handle:
             handle.write(json.dumps(line) + "\n")

@@ -26,6 +26,7 @@ is explored serially.
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -120,6 +121,14 @@ class CheckRecord:
     @property
     def inter_host_bytes(self) -> float:
         return 0.0
+
+    def run_log_verdict(self) -> Dict[str, Any]:
+        """Run-log fields that pin the verdict, so two logs of one suite
+        compare case by case: deadlock count and the sorted outcome set
+        (each outcome as canonical JSON)."""
+        return {"deadlocks": self.deadlocks,
+                "outcomes": sorted(json.dumps(outcome, sort_keys=True)
+                                   for outcome in self.outcomes)}
 
     def failure_lines(self) -> List[str]:
         """Human-readable reasons this case failed (empty when passed)."""

@@ -127,6 +127,16 @@ class LitmusTest:
             self.locations[loc], _LOC_BASE + index * _LOC_STRIDE
         )
 
+    def addresses(self, config: SystemConfig) -> Dict[str, int]:
+        """Physical address of every symbolic location, through one
+        address map."""
+        address_map = AddressMap(config)
+        return {
+            loc: address_map.address_in_host(
+                self.locations[loc], _LOC_BASE + index * _LOC_STRIDE)
+            for index, loc in enumerate(sorted(self.locations))
+        }
+
     def compile(self, config: SystemConfig) -> List[List[MemOp]]:
         """Resolve symbolic ops into concrete MemOps for ``config``."""
         hosts_needed = max(self.locations.values()) + 1
@@ -135,6 +145,7 @@ class LitmusTest:
                 f"test {self.name!r} needs {hosts_needed} hosts, config has "
                 f"{config.hosts}"
             )
+        address = self.addresses(config)
         compiled: List[List[MemOp]] = []
         for program in self.programs:
             ops: List[MemOp] = []
@@ -143,7 +154,7 @@ class LitmusTest:
                 if kind in ("st", "st_so"):
                     _, loc, value, size, ordering = abstract
                     op = MemOp.store(
-                        self.resolve_address(config, loc), value, size, ordering
+                        address[loc], value, size, ordering
                     )
                     if kind == "st_so":
                         op.meta["via"] = "so"
@@ -151,13 +162,13 @@ class LitmusTest:
                 elif kind == "ld":
                     _, loc, register, ordering = abstract
                     ops.append(MemOp.load(
-                        self.resolve_address(config, loc), register,
+                        address[loc], register,
                         ordering=ordering,
                     ))
                 elif kind == "poll":
                     _, loc, value, register, ordering = abstract
                     op = MemOp.load_until(
-                        self.resolve_address(config, loc), value, register,
+                        address[loc], value, register,
                         ordering=ordering,
                     )
                     ops.append(op)
@@ -166,7 +177,7 @@ class LitmusTest:
                         abstract
                     ops.append(MemOp.atomic(
                         AtomicOp(flavour),
-                        self.resolve_address(config, loc),
+                        address[loc],
                         operand,
                         register=register,
                         compare=compare,

@@ -41,18 +41,34 @@ The ``"addr"`` head tag keeps the per-address 3-tuples disjoint from MP's
 
 Performance
 -----------
-Exploration scales with transitions, so successor construction is
-incremental: :meth:`_State.clone` shallow-copies the container lists and
-clones a core/directory/value map only when a transition actually mutates
-it (copy-on-write via the ``mutable_*`` accessors), untouched components
-stay shared between states.  Visited-set keys hold only what can differ
-between two states of one run: each CORD component contributes its
-compact ``checker_key()`` (epoch and table entries — no config, table
-names or statistics), memoized on the component itself (``_frozen_memo``)
-— valid because every mutation path goes through clone-on-write, which
-starts from a fresh, memo-less copy.  A sound partial-order reduction (see
-:meth:`ModelChecker._reduce`) collapses the interleavings of commuting
-deliveries (acks, notifications, atomic responses).
+A successor costs roughly what its transition changed.
+
+* Cloning is copy-on-write: :meth:`_State.clone` shares every component
+  (and the lists holding them) with the parent, and a transition clones
+  a core, directory or value map only when it mutates it, through the
+  ``mutable_*`` accessors.
+* Visited-set keys hold only what can differ between two states of one
+  run: each CORD component contributes its compact ``checker_key()``
+  (epoch and table entries — no config, table names or statistics).
+  Keys are memoized on the same clone-on-write invariant.  A state keeps
+  one key fragment per core, directory and value map, and bitmasks of
+  the fragments a ``mutable_*`` accessor has touched since they were
+  built; a clone inherits both, so an untouched component contributes
+  its parent's fragment as is.  This stays exact because every mutation
+  path goes through an accessor, which is where the fragment is marked
+  stale.  A message's key entry and sort position are fixed when it is
+  sent (messages are immutable), so keying costs the changed fragments
+  plus one small sort of the in-flight messages.
+* Successors come from the protocol tables lowered by
+  :func:`~repro.protocols.compile.compile_spec`: per-program-op steps
+  resolve the issue row and home ahead of exploration, and the hot
+  issue and delivery rows run as inline opcode cases.  ``*_CALL`` rows
+  run their closures, counted per row in :attr:`ModelChecker.closure_calls`
+  and the ``closure_calls`` stat; ``REPRO_INTERPRETED_TABLES=1`` sends
+  every row through its closure, the oracle for the opcode cases.
+* A sound partial-order reduction (see :meth:`ModelChecker._reduce`)
+  collapses the interleavings of commuting deliveries (acks,
+  notifications, atomic responses).
 
 For every reachable final state the checker records the register outcome and
 one representative execution history, validates the history with the
@@ -63,9 +79,10 @@ enabled transition) along with a witness of the first deadlocked state.
 from __future__ import annotations
 
 import enum
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import CordConfig, SystemConfig
 from repro.consistency.checker import Violation, check_rc
@@ -75,9 +92,42 @@ from repro.core.directory import CordDirectoryState
 from repro.core.processor import CordProcessorState
 from repro.litmus.dsl import LitmusTest
 from repro.memory.address import AddressMap
+from repro.protocols.compile import (
+    A_CALL,
+    A_CORD_RELAXED,
+    A_CORD_RELEASE,
+    A_MP_POSTED,
+    A_SEQ_STORE,
+    A_SO_STORE,
+    A_TARDIS_STORE,
+    D_CALL,
+    D_NOTIFY,
+    D_POSTED,
+    D_REL_ACK,
+    D_REQ_NOTIFY,
+    D_SEQ_STORE,
+    D_SO_ACK,
+    D_TARDIS_STORE,
+    D_WT_REL,
+    D_WT_RLX,
+    D_WT_STORE,
+    G_CALL,
+    G_CORD_BARRIER,
+    G_CORD_RELAXED,
+    G_CORD_RELEASE,
+    G_SEQ_WINDOW,
+    G_SO_OUTSTANDING,
+    G_TRUE,
+    CompiledIssue,
+    CompiledProtocol,
+    compile_spec,
+    interpreted_tables_enabled,
+)
 from repro.protocols.factory import validate_checkable_protocol
 from repro.protocols.spec import (
     DeliveryContext,
+    DeliveryRule,
+    ProtocolSpec,
     ample_kinds,
     cord_barrier_batch_reason,
     fifo_class_for,
@@ -127,8 +177,14 @@ class ModelCheckError(RuntimeError):
 # ---------------------------------------------------------------------------
 # State
 # ---------------------------------------------------------------------------
-@dataclass
 class _Msg:
+    """One in-flight message.  Immutable once sent, so its visited-set
+    entry and sort position are computed once, here, and shared by every
+    state the message is in flight in."""
+
+    __slots__ = ("seq", "kind", "dst_dir", "dst_core", "fields",
+                 "fifo_class", "order", "entry")
+
     seq: int
     kind: str
     dst_dir: Optional[int]
@@ -137,132 +193,268 @@ class _Msg:
     #: FIFO-ordering class (see the module docstring): ``("addr", core,
     #: addr)`` for per-location coherence, ``(core, dst_dir)`` for MP's
     #: posted-write pairs, ``None`` for unordered messages.
-    fifo_class: Optional[Tuple[Any, ...]] = None
-    #: Memoized frozen form of ``fields`` — messages are immutable once
-    #: sent, so the form is computed at most once per message.
-    _frozen: Optional[Tuple] = field(default=None, repr=False, compare=False)
+    fifo_class: Optional[Tuple[Any, ...]]
+    #: Position in a state key's message part: kind, destination, then
+    #: send order.
+    order: Tuple[str, str, str, int]
+    #: The key's entry for this message, minus its FIFO rank.
+    entry: Tuple[Any, ...]
 
-    def frozen_fields(self) -> Tuple:
-        if self._frozen is None:
-            self._frozen = _freeze(self.fields)
-        return self._frozen
+    def __init__(self, seq: int, kind: str, dst_dir: Optional[int],
+                 dst_core: Optional[int], fields: Dict[str, Any],
+                 fifo_class: Optional[Tuple[Any, ...]] = None) -> None:
+        self.seq = seq
+        self.kind = kind
+        self.dst_dir = dst_dir
+        self.dst_core = dst_core
+        self.fields = fields
+        self.fifo_class = fifo_class
+        self.order = (kind, str(dst_dir), str(dst_core), seq)
+        self.entry = (kind, dst_dir, dst_core, _freeze(fields), fifo_class)
 
 
-@dataclass
 class _CoreState:
-    pc: int = 0
-    regs: Dict[str, int] = field(default_factory=dict)
-    cord: Optional[CordProcessorState] = None
-    so_outstanding: int = 0
-    fence_issued: bool = False
-    blocked: bool = False        # awaiting an atomic RMW response
-    seq_next: int = 0            # SEQ-k: next sequence number to assign
-    seq_outstanding: int = 0     # SEQ-k: stores not yet committed
+    """One core's program position, registers and protocol counters."""
+
+    __slots__ = ("pc", "regs", "cord", "so_outstanding", "fence_issued",
+                 "blocked", "seq_next", "seq_outstanding")
+
+    pc: int
+    regs: Dict[str, int]
+    cord: Optional[CordProcessorState]
+    so_outstanding: int
+    fence_issued: bool
+    blocked: bool            # awaiting an atomic RMW response
+    seq_next: int            # SEQ-k/Tardis: next sequence number to assign
+    seq_outstanding: int     # SEQ-k/Tardis: stores not yet committed
+
+    def __init__(self, cord: Optional[CordProcessorState] = None) -> None:
+        self.pc = 0
+        self.regs = {}
+        self.cord = cord
+        self.so_outstanding = 0
+        self.fence_issued = False
+        self.blocked = False
+        self.seq_next = 0
+        self.seq_outstanding = 0
 
     def clone(self) -> "_CoreState":
-        return _CoreState(
-            pc=self.pc,
-            regs=dict(self.regs),
-            cord=self.cord.clone() if self.cord is not None else None,
-            so_outstanding=self.so_outstanding,
-            fence_issued=self.fence_issued,
-            blocked=self.blocked,
-            seq_next=self.seq_next,
-            seq_outstanding=self.seq_outstanding,
-        )
+        new = _CoreState.__new__(_CoreState)
+        new.pc = self.pc
+        new.regs = dict(self.regs)
+        new.cord = self.cord.clone() if self.cord is not None else None
+        new.so_outstanding = self.so_outstanding
+        new.fence_issued = self.fence_issued
+        new.blocked = self.blocked
+        new.seq_next = self.seq_next
+        new.seq_outstanding = self.seq_outstanding
+        return new
 
 
-@dataclass
 class _State:
     """One explored interleaving point.
 
-    Cloning is copy-on-write: :meth:`clone` shallow-copies the component
-    lists, and a transition that mutates core ``i`` / directory ``d`` /
-    value map ``d`` must first take it via :meth:`mutable_core` /
-    :meth:`mutable_dir` / :meth:`mutable_values`, which clones the
-    component once per state.  Read paths (:meth:`ModelChecker._enabled`,
-    key construction) use the plain lists.  ``events``, ``seq_committed``
-    and ``network`` are copied eagerly — they are flat containers of
-    immutable entries, so a list/dict copy suffices.
+    Cloning is copy-on-write: :meth:`clone` shares the component lists
+    and every component with the parent, and a transition that mutates
+    core ``i`` / directory ``d`` / value map ``d`` must first take it via
+    :meth:`mutable_core` / :meth:`mutable_dir` / :meth:`mutable_values`,
+    which clones the component (and, the first time, the list holding
+    it) once per state.  Read paths (:meth:`ModelChecker._enabled`, key
+    construction) use the plain lists.  ``events`` and ``seq_committed``
+    are replaced, never mutated, so clones share them outright; only
+    ``network`` is copied eagerly.
+
+    The visited-set key is memoized on the same invariant.
+    ``core_keys`` / ``dir_keys`` / ``value_keys`` hold one key fragment
+    per component, and the ``dirty_*`` bitmasks mark the fragments whose
+    component went through a ``mutable_*`` accessor since the fragment
+    was computed.  A clone inherits its parent's fragments and masks, so
+    :meth:`ModelChecker._key` rebuilds only what the transition touched;
+    ``seq_key`` is rebuilt on each SEQ-k/Tardis commit.
     """
+
+    __slots__ = ("cores", "dirs", "values", "network", "next_seq", "events",
+                 "seq_committed", "seq_key", "owned_cores", "owned_dirs",
+                 "owned_values", "dirty_cores", "dirty_dirs", "dirty_values",
+                 "core_keys", "dir_keys", "value_keys")
 
     cores: List[_CoreState]
     dirs: List[CordDirectoryState]
     values: List[Dict[int, int]]     # per directory
-    network: List[_Msg]
+    network: List[_Msg]              # in send (``seq``) order
     next_seq: int
-    events: List[Tuple] = field(default_factory=list)  # history log
-    # SEQ-k: committed-store watermark per (directory, core).
-    seq_committed: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    # Components this state owns (already cloned since the last clone()).
-    _owned_cores: Set[int] = field(default_factory=set, repr=False)
-    _owned_dirs: Set[int] = field(default_factory=set, repr=False)
-    _owned_values: Set[int] = field(default_factory=set, repr=False)
+    #: History log ``(core, pc, kind, ordering, addr, value)``, oldest
+    #: first.
+    events: Tuple[Tuple, ...]
+    #: SEQ-k/Tardis: committed-store count per (directory, core).
+    seq_committed: Dict[Tuple[int, int], int]
+    seq_key: Tuple[Tuple[Tuple[int, int], int], ...]
+    #: Bitmasks of the components this state has cloned (and may mutate).
+    owned_cores: int
+    owned_dirs: int
+    owned_values: int
+    #: Bitmasks of the key fragments that are stale.
+    dirty_cores: int
+    dirty_dirs: int
+    dirty_values: int
+    core_keys: Tuple[Any, ...]
+    dir_keys: Tuple[Any, ...]
+    value_keys: Tuple[Any, ...]
+
+    def __init__(self, cores: List[_CoreState],
+                 dirs: List[CordDirectoryState],
+                 values: List[Dict[int, int]]) -> None:
+        self.cores = cores
+        self.dirs = dirs
+        self.values = values
+        self.network = []
+        self.next_seq = 0
+        self.events = ()
+        self.seq_committed = {}
+        self.seq_key = ()
+        # A fresh state owns everything and has no fragments yet.
+        self.owned_cores = self.dirty_cores = (1 << len(cores)) - 1
+        self.owned_dirs = self.dirty_dirs = (1 << len(dirs)) - 1
+        self.owned_values = self.dirty_values = (1 << len(values)) - 1
+        self.core_keys = (None,) * len(cores)
+        self.dir_keys = (None,) * len(dirs)
+        self.value_keys = (None,) * len(values)
 
     def clone(self) -> "_State":
-        return _State(
-            cores=list(self.cores),
-            dirs=list(self.dirs),
-            values=list(self.values),
-            network=list(self.network),
-            next_seq=self.next_seq,
-            events=list(self.events),
-            seq_committed=dict(self.seq_committed),
-        )
+        new = _State.__new__(_State)
+        new.cores = self.cores
+        new.dirs = self.dirs
+        new.values = self.values
+        new.network = self.network[:]
+        new.next_seq = self.next_seq
+        new.events = self.events
+        new.seq_committed = self.seq_committed
+        new.seq_key = self.seq_key
+        new.owned_cores = new.owned_dirs = new.owned_values = 0
+        new.dirty_cores = self.dirty_cores
+        new.dirty_dirs = self.dirty_dirs
+        new.dirty_values = self.dirty_values
+        new.core_keys = self.core_keys
+        new.dir_keys = self.dir_keys
+        new.value_keys = self.value_keys
+        return new
 
     def mutable_core(self, index: int) -> _CoreState:
-        if index not in self._owned_cores:
+        bit = 1 << index
+        owned = self.owned_cores
+        if not owned & bit:
+            if not owned:
+                self.cores = self.cores[:]
             self.cores[index] = self.cores[index].clone()
-            self._owned_cores.add(index)
+            self.owned_cores = owned | bit
+        self.dirty_cores |= bit
         return self.cores[index]
 
     def mutable_dir(self, index: int) -> CordDirectoryState:
-        if index not in self._owned_dirs:
+        bit = 1 << index
+        owned = self.owned_dirs
+        if not owned & bit:
+            if not owned:
+                self.dirs = self.dirs[:]
             self.dirs[index] = self.dirs[index].clone()
-            self._owned_dirs.add(index)
+            self.owned_dirs = owned | bit
+        self.dirty_dirs |= bit
         return self.dirs[index]
 
     def mutable_values(self, index: int) -> Dict[int, int]:
-        if index not in self._owned_values:
+        bit = 1 << index
+        owned = self.owned_values
+        if not owned & bit:
+            if not owned:
+                self.values = self.values[:]
             self.values[index] = dict(self.values[index])
-            self._owned_values.add(index)
+            self.owned_values = owned | bit
+        self.dirty_values |= bit
         return self.values[index]
+
+    def record(self, event: Tuple) -> None:
+        """Append one history event."""
+        self.events = self.events + (event,)
+
+    def commit(self, directory: int, fields: Mapping[str, Any]) -> None:
+        """Make a store visible at its home and log it."""
+        self.mutable_values(directory)[fields["addr"]] = fields["value"]
+        self.record((fields["core"], fields["pc"], EventKind.STORE,
+                     fields["ordering"], fields["addr"], fields["value"]))
+
+    def seq_commit(self, directory: int, proc: int) -> None:
+        """Count one SEQ-k/Tardis commit of ``proc``'s stream."""
+        committed = dict(self.seq_committed)
+        key = (directory, proc)
+        committed[key] = committed.get(key, 0) + 1
+        self.seq_committed = committed
+        self.seq_key = tuple(sorted(committed.items()))
+        self.mutable_core(proc).seq_outstanding -= 1
+
+    def seq_committed_by(self, proc: int) -> int:
+        """How many of ``proc``'s sequenced stores have committed,
+        machine-wide."""
+        return sum(count for (_d, core), count in self.seq_committed.items()
+                   if core == proc)
+
+
+#: Per type: (slot names across the MRO, whether the type declares any).
+_SLOT_LAYOUT: Dict[type, Tuple[Tuple[str, ...], bool]] = {}
+
+
+def _slot_layout(klass: type) -> Tuple[Tuple[str, ...], bool]:
+    names: List[str] = []
+    declared = False
+    for base in klass.__mro__:
+        slots = base.__dict__.get("__slots__", ())
+        if isinstance(slots, str):
+            slots = (slots,)
+        for name in slots:
+            declared = True
+            if name not in ("__dict__", "__weakref__"):
+                names.append(name)
+    return tuple(names), declared
 
 
 def _attr_state(obj: Any) -> Optional[Dict[str, Any]]:
     """``name -> value`` attribute map, or ``None`` for non-object values.
 
     Covers plain ``__dict__`` instances *and* ``__slots__``-only classes
-    (slots collected across the MRO), so adopting slots in a message meta
-    cannot silently shrink its frozen form to an empty attribute tuple.
+    (slots collected across the MRO, once per type), so adopting slots in
+    a message meta cannot silently shrink its frozen form to an empty
+    attribute tuple.
     """
+    layout = _SLOT_LAYOUT.get(type(obj))
+    if layout is None:
+        layout = _SLOT_LAYOUT[type(obj)] = _slot_layout(type(obj))
+    names, found = layout
     state: Dict[str, Any] = {}
-    found = False
-    for klass in type(obj).__mro__:
-        slots = klass.__dict__.get("__slots__", ())
-        if isinstance(slots, str):
-            slots = (slots,)
-        for name in slots:
-            found = True
-            if name in ("__dict__", "__weakref__"):
-                continue
-            try:
-                state[name] = getattr(obj, name)
-            except AttributeError:
-                pass  # slot declared but never assigned
+    for name in names:
+        try:
+            state[name] = getattr(obj, name)
+        except AttributeError:
+            pass  # slot declared but never assigned
     if hasattr(obj, "__dict__"):
         found = True
         state.update(obj.__dict__)
     return state if found else None
 
 
+_SCALAR_TYPES = frozenset({int, float, str, bool, type(None)})
+
+
 def _freeze(obj: Any) -> Any:
     """Canonical hashable form of a message's fields, a meta or an outcome
     (for the visited set and the final-outcome map)."""
+    if type(obj) in _SCALAR_TYPES:
+        return obj
     if isinstance(obj, enum.Enum):
         return (type(obj).__name__, obj.value)
     if isinstance(obj, dict):
-        return tuple(sorted((_freeze(k), _freeze(v)) for k, v in obj.items()))
+        return tuple(sorted([
+            (k if type(k) in _SCALAR_TYPES else _freeze(k),
+             v if type(v) in _SCALAR_TYPES else _freeze(v))
+            for k, v in obj.items()]))
     if isinstance(obj, (list, tuple)):
         return tuple(_freeze(x) for x in obj)
     if isinstance(obj, (set, frozenset)):
@@ -273,47 +465,12 @@ def _freeze(obj: Any) -> Any:
     if attrs is not None:
         return (
             type(obj).__name__,
-            tuple((name, _freeze(value))
-                  for name, value in sorted(attrs.items())),
+            tuple([(name,
+                    value if type(value) in _SCALAR_TYPES
+                    else _freeze(value))
+                   for name, value in sorted(attrs.items())]),
         )
     raise TypeError(f"cannot freeze {type(obj)}")
-
-
-def _freeze_cached(component: Any) -> Tuple:
-    """A CORD component's ``checker_key()``, memoized on the component.
-
-    The memo stays valid because every checker mutation goes through
-    clone-on-write and clones never carry it; ``checker_key`` reads only
-    the keyed fields, so the memo never perturbs the key.  Components
-    that cannot take the attribute — ``__slots__``-only classes without
-    a ``_frozen_memo`` slot — are simply re-keyed each time.
-    """
-    memo = getattr(component, "_frozen_memo", None)
-    if memo is None:
-        memo = component.checker_key()
-        try:
-            component._frozen_memo = memo
-        except AttributeError:
-            pass
-    return memo
-
-
-def _fifo_ranks(network: Sequence["_Msg"]) -> List[int]:
-    """Each in-flight message's rank within its FIFO class: how many
-    messages of the same ``fifo_class`` (``None`` included) were sent
-    before it and are still in flight.
-
-    Keys record this relative order rather than absolute ``seq``.  One
-    pass suffices because ``network`` is always in send order: sends
-    append with increasing ``seq`` and deliveries only remove.
-    """
-    sent: Dict[Optional[Tuple[Any, ...]], int] = {}
-    ranks = []
-    for msg in network:
-        rank = sent.get(msg.fifo_class, 0)
-        sent[msg.fifo_class] = rank + 1
-        ranks.append(rank)
-    return ranks
 
 
 @dataclass
@@ -458,10 +615,19 @@ _AMPLE_KINDS = ample_kinds()
 #: the tables (``MessageSpec.forwards_store``).
 _FWD_STORE_KINDS = forwarding_kinds()
 
+#: Delivery opcodes the checker runs inline (:meth:`ModelChecker._deliver`).
+#: The rest — ``D_CALL`` rows and the timed-only SEQ flush handshake —
+#: run their closures.
+_LOWERED_DELIVERIES = frozenset({
+    D_WT_STORE, D_SO_ACK, D_WT_RLX, D_WT_REL, D_REQ_NOTIFY, D_NOTIFY,
+    D_REL_ACK, D_SEQ_STORE, D_POSTED, D_TARDIS_STORE,
+})
+
 
 class _CheckerContext(DeliveryContext):
-    """Backs a table :class:`~repro.protocols.spec.DeliveryRule` with
-    ``_State`` mutations.
+    """Backs a table :class:`~repro.protocols.spec.DeliveryRule` closure
+    with ``_State`` mutations (the ``D_CALL`` rows, and every row under
+    ``REPRO_INTERPRETED_TABLES=1``).
 
     Delivery guards run read-only against the shared components; effects
     run against the copy-on-write ``mutable_*`` accessors.  The message
@@ -500,13 +666,7 @@ class _CheckerContext(DeliveryContext):
         return core
 
     def commit(self, fields: Any) -> None:
-        state = self._state
-        state.mutable_values(self._msg.dst_dir)[fields["addr"]] = \
-            fields["value"]
-        state.events.append((
-            fields["core"], fields["pc"], EventKind.STORE,
-            fields["ordering"], fields["addr"], fields["value"],
-        ))
+        self._state.commit(self._msg.dst_dir, fields)
 
     def commit_barrier(self) -> None:
         pass  # barrier Releases carry no value
@@ -528,24 +688,13 @@ class _CheckerContext(DeliveryContext):
         )
 
     def ack_release(self, meta: Any) -> None:
-        self._checker._send(
-            self._state, "rel_ack",
-            {"dir": self._msg.dst_dir, "epoch": meta.epoch},
-            dst_core=meta.proc,
-            fifo_class=self._checker._fifo("rel_ack", None),
-        )
+        self._checker._ack_release(self._state, self._msg.dst_dir, meta)
 
     def seq_committed(self, proc: int) -> int:
-        return sum(
-            count for (d, c), count in self._state.seq_committed.items()
-            if c == proc
-        )
+        return self._state.seq_committed_by(proc)
 
     def seq_commit(self, proc: int) -> None:
-        state = self._state
-        key = (self._msg.dst_dir, proc)
-        state.seq_committed[key] = state.seq_committed.get(key, 0) + 1
-        state.mutable_core(proc).seq_outstanding -= 1
+        self._state.seq_commit(self._msg.dst_dir, proc)
 
     def complete_atomic(self, fields: Any) -> None:
         core = self.core
@@ -557,6 +706,70 @@ class _CheckerContext(DeliveryContext):
 
     def wake(self) -> None:
         pass  # enabledness is re-evaluated per state
+
+
+class _IssueRow:
+    """One compiled issue row as the checker dispatches it.
+
+    ``guard_op`` / ``action_op`` / ``escape_op`` are the row's opcodes,
+    or the ``*_CALL`` fallbacks under ``REPRO_INTERPRETED_TABLES=1``;
+    ``emits`` names the row's emit template (the op-carrying message is
+    last)."""
+
+    __slots__ = ("rule", "name", "ordered", "barrier_escape", "guard_op",
+                 "action_op", "escape_op", "emits", "window")
+
+    def __init__(self, compiled: CompiledProtocol, row: CompiledIssue,
+                 interpreted: bool) -> None:
+        self.rule = row.rule
+        self.name = row.name
+        self.ordered = row.ordered
+        self.barrier_escape = row.escape == "barrier"
+        self.guard_op = G_CALL if interpreted else row.guard_op
+        self.action_op = A_CALL if interpreted else row.action_op
+        self.escape_op = G_CALL if interpreted else row.escape_op
+        self.emits = tuple(compiled.messages[mid].name
+                           for mid in row.emit_mids)
+        # SEQ-k's checker guard bounds the uncommitted window (the
+        # timed interpreter checks ``timed_guard``'s watermark instead).
+        bits = compiled.spec.seq_bits
+        self.window = (1 << bits) if bits is not None else 0
+
+
+class _CheckerRows:
+    """One protocol's compiled rows in the checker's dispatch form:
+    issue rows by ``(op_class, ordered)`` and ``(opcode, rule)`` per
+    delivered message kind (``D_CALL`` for rows the checker runs as
+    closures)."""
+
+    __slots__ = ("compiled", "cord_core", "issue", "deliveries")
+
+    def __init__(self, compiled: CompiledProtocol, interpreted: bool) -> None:
+        self.compiled = compiled
+        self.cord_core = compiled.spec.core_state == "cord"
+        self.issue = {key: _IssueRow(compiled, row, interpreted)
+                      for key, row in compiled.issue.items()}
+        self.deliveries = {}
+        for name, row in compiled.delivery.items():
+            lowered = not interpreted and row.op in _LOWERED_DELIVERIES
+            self.deliveries[name] = (row.op if lowered else D_CALL, row.rule)
+
+
+#: Built once per compiled spec and dispatch mode: every checker of a
+#: sweep shares them (rebuilding them per checker costs more than the
+#: rest of its construction).
+_CHECKER_ROWS: Dict[Tuple[str, bool], _CheckerRows] = {}
+
+
+def _checker_rows(spec: ProtocolSpec, interpreted: bool) -> _CheckerRows:
+    """``spec``'s :class:`_CheckerRows`, rebuilt when ``compile_spec``
+    returns a new compilation (a replaced spec object)."""
+    compiled = compile_spec(spec)
+    rows = _CHECKER_ROWS.get((spec.name, interpreted))
+    if rows is None or rows.compiled is not compiled:
+        rows = _CHECKER_ROWS[(spec.name, interpreted)] = \
+            _CheckerRows(compiled, interpreted)
+    return rows
 
 
 class ModelChecker:
@@ -571,7 +784,8 @@ class ModelChecker:
         protocol each thread uses (overridden per-thread by
         ``test.thread_protocols``).  Successor generation runs the
         protocol's transition table from :mod:`repro.protocols.spec`,
-        the same table object the timed interpreter executes.
+        lowered by :func:`~repro.protocols.compile.compile_spec` — the
+        same rows the timed interpreter executes.
     config:
         System geometry (defaults to one host per location-home plus one).
     cord_config:
@@ -597,7 +811,8 @@ class ModelChecker:
     stats:
         Optional :class:`~repro.sim.stats.StatRegistry`; when given, the
         run accumulates ``modelcheck.*`` counters (states, transitions,
-        visited hits, POR prunes, peak frontier, wall seconds) into it.
+        visited hits, POR prunes, closure calls, peak frontier, wall
+        seconds) into it.
     """
 
     def __init__(
@@ -639,13 +854,46 @@ class ModelChecker:
         for proto in self.core_protocols:
             validate_checkable_protocol(proto)
         self._specs = [get_spec(proto) for proto in self.core_protocols]
-        self._so_spec = get_spec("so")  # mixed-mode ``via: so`` carriers
-        # SO's rules ride along for the via-so carriers a CORD core can
-        # emit (§4.5 mixed mode).
-        self._delivery_rules: Dict[str, Any] = dict(self._so_spec.delivery)
-        for spec in self._specs:
-            self._delivery_rules.update(spec.delivery)
         self._fifo_classes: Dict[Tuple[str, Optional[str]], Any] = {}
+        #: Closure-path uses per table row (``*_CALL`` rows; every row
+        #: under ``REPRO_INTERPRETED_TABLES=1``), reported as the
+        #: ``closure_calls`` stat.
+        self.closure_calls: Dict[str, int] = {}
+        interpreted = interpreted_tables_enabled()
+        so_rows = _checker_rows(get_spec("so"), interpreted)
+        tables = [_checker_rows(spec, interpreted) for spec in self._specs]
+        # SO's rows ride along for the via-so carriers a CORD core can
+        # emit (§4.5 mixed mode); later tables win on shared names.
+        self._deliveries: Dict[str, Tuple[int, DeliveryRule]] = dict(
+            so_rows.deliveries)
+        for table in tables:
+            self._deliveries.update(table.deliveries)
+        # Each program op resolved ahead of exploration: ``(op, kind,
+        # home, issue row)`` (SO's rows for a CORD core's ``via: so``
+        # op); barrier broadcasts and the §4.4 escape issue through the
+        # core's Release row.
+        self._steps: List[List[Tuple[MemOp, OpKind, Optional[int],
+                                     Optional[_IssueRow]]]] = []
+        self._release_rows = [table.issue[("store", True)]
+                              for table in tables]
+        home_directory = self.address_map.home_directory
+        for core_index, program in enumerate(self.programs):
+            table = tables[core_index]
+            steps = []
+            for op in program:
+                kind = op.kind
+                home = row = None
+                if kind is not OpKind.COMPUTE and kind is not OpKind.FENCE:
+                    home = home_directory(op.addr).index
+                if kind is OpKind.STORE or kind is OpKind.ATOMIC:
+                    op_rows = table
+                    if table.cord_core and op.meta.get("via") == "so":
+                        op_rows = so_rows  # mixed-mode §4.5
+                    row = op_rows.issue[(
+                        "atomic" if kind is OpKind.ATOMIC else "store",
+                        op.ordering.is_release or self.tso)]
+                steps.append((op, kind, home, row))
+            self._steps.append(steps)
 
     # ------------------------------------------------------------------
     # State construction
@@ -653,17 +901,20 @@ class ModelChecker:
     def _initial(self) -> _State:
         cores = []
         for core_index, proto in enumerate(self.core_protocols):
-            core = _CoreState()
-            if proto == "cord":
-                core.cord = CordProcessorState(core_index, self.cord_config)
-            cores.append(core)
+            cores.append(_CoreState(
+                CordProcessorState(core_index, self.cord_config)
+                if proto == "cord" else None))
         dirs = [
             CordDirectoryState(d, self.test.threads, self.cord_config)
             for d in range(self.config.total_directories)
         ]
-        values = [dict() for _ in dirs]
-        return _State(cores=cores, dirs=dirs, values=values, network=[],
-                      next_seq=0)
+        return _State(cores, dirs, [dict() for _ in dirs])
+
+    @functools.cached_property
+    def _locations(self) -> Dict[str, int]:
+        """Symbolic location -> address, in ``test.locations`` order."""
+        addresses = self.test.addresses(self.config)
+        return {loc: addresses[loc] for loc in self.test.locations}
 
     def _home(self, addr: int) -> int:
         return self.address_map.home_directory(addr).index
@@ -672,9 +923,10 @@ class ModelChecker:
         return state.values[self._home(addr)].get(addr, 0)
 
     def _read_for_core(self, state: _State, core_index: int,
-                       addr: int) -> int:
+                       addr: int, home: int) -> int:
         """What a load by ``core_index`` observes: the youngest of the
-        core's own in-flight stores to ``addr``, else the committed value.
+        core's own in-flight stores to ``addr``, else the committed value
+        at its ``home``.
 
         The timed machine gets read-own-write for free — a ``load_req``
         queues behind the core's earlier store on the same FIFO link to
@@ -690,7 +942,11 @@ class ModelChecker:
                     and msg.fields.get("core") == core_index
                     and msg.fields.get("addr") == addr):
                 return msg.fields["value"]
-        return self._read(state, addr)
+        return state.values[home].get(addr, 0)
+
+    def _closure(self, name: str) -> None:
+        """Count one closure-path use of table row ``name``."""
+        self.closure_calls[name] = self.closure_calls.get(name, 0) + 1
 
     # ------------------------------------------------------------------
     # Enabled actions
@@ -700,15 +956,15 @@ class ModelChecker:
         for core_index in range(self.test.threads):
             if self._core_enabled(state, core_index):
                 actions.append(("core", core_index))
-        fifo_heads: Dict[Tuple, int] = {}
-        for msg in state.network:
-            if msg.fifo_class is not None:
-                head = fifo_heads.get(msg.fifo_class)
-                if head is None or msg.seq < head:
-                    fifo_heads[msg.fifo_class] = msg.seq
+        # ``network`` is in send order, so a FIFO class's head is its
+        # first message; later members wait behind it.
+        heads = set()
         for position, msg in enumerate(state.network):
-            if msg.fifo_class is not None and msg.seq != fifo_heads[msg.fifo_class]:
-                continue
+            fifo = msg.fifo_class
+            if fifo is not None:
+                if fifo in heads:
+                    continue
+                heads.add(fifo)
             if self._delivery_enabled(state, msg):
                 actions.append(("deliver", position))
         return actions
@@ -741,26 +997,50 @@ class ModelChecker:
                 return [action]
         return actions
 
+    def _guard_blocks(self, row: _IssueRow, core: _CoreState,
+                      home: int) -> bool:
+        """Whether ``row``'s issue guard stalls ``core`` towards ``home``."""
+        gop = row.guard_op
+        if gop == G_TRUE:
+            return False
+        if gop == G_CORD_RELAXED:
+            return core.cord.relaxed_stall_reason(home) is not None
+        if gop == G_CORD_RELEASE:
+            return (core.so_outstanding > 0
+                    or core.cord.release_stall_reason(home) is not None)
+        if gop == G_SO_OUTSTANDING:
+            return core.so_outstanding > 0
+        if gop == G_SEQ_WINDOW:
+            return core.seq_outstanding + 1 >= row.window
+        self._closure(row.name)
+        return row.rule.guard(core, home) is not None
+
+    def _escape_blocks(self, row: _IssueRow, core: _CoreState,
+                       home: int) -> bool:
+        """Whether the §4.4 barrier escape of a stalled ``row`` is
+        blocked too."""
+        if row.escape_op == G_CORD_BARRIER:
+            return core.cord.release_stall_reason(home) is not None
+        self._closure(row.name + ":escape")
+        return row.rule.escape_guard(core, home) is not None
+
     def _core_enabled(self, state: _State, core_index: int) -> bool:
         core = state.cores[core_index]
-        program = self.programs[core_index]
-        if core.blocked or core.pc >= len(program):
+        steps = self._steps[core_index]
+        if core.blocked or core.pc >= len(steps):
             return False
-        op = program[core.pc]
-        ordered = op.ordering.is_release or self.tso
-
-        if op.kind is OpKind.COMPUTE:
+        op, kind, home, row = steps[core.pc]
+        if kind is OpKind.COMPUTE:
             return True
-        if op.kind in (OpKind.LOAD, OpKind.LOAD_UNTIL):
+        if kind is OpKind.LOAD or kind is OpKind.LOAD_UNTIL:
             if self.sc and not self._stores_drained(state, core_index):
                 return False  # SC: loads wait for the core's own stores
-        if op.kind is OpKind.LOAD:
-            return True
-        if op.kind is OpKind.LOAD_UNTIL:
-            value = self._read_for_core(state, core_index, op.addr)
+            if kind is OpKind.LOAD:
+                return True
+            value = self._read_for_core(state, core_index, op.addr, home)
             exact = op.meta.get("cmp") == "eq"
             return value == op.value or (not exact and value >= op.value)
-        if op.kind is OpKind.FENCE:
+        if kind is OpKind.FENCE:
             if not op.ordering.is_release:
                 return True
             fence = self._specs[core_index].fence
@@ -772,19 +1052,12 @@ class ModelChecker:
                 return cord_barrier_batch_reason(core.cord) is None
             return fence.done(core)
         # Stores and atomics (RMWs follow the same issue rules per class).
-        spec = self._specs[core_index]
-        if spec.core_state == "cord" and op.meta.get("via") == "so":
-            spec = self._so_spec  # mixed-mode §4.5: SO's issue rules
-        op_class = "atomic" if op.kind is OpKind.ATOMIC else "store"
-        rule = spec.issue_rule(op_class, ordered)
-        reason = rule.guard(core, self._home(op.addr))
-        if reason is None:
+        if not self._guard_blocks(row, core, home):
             return True
-        if rule.escape == "barrier":
-            # Stalled Relaxed op: enabled if the barrier-release escape
-            # hatch can fire (§4.4).
-            return rule.escape_guard(core, self._home(op.addr)) is None
-        return False
+        # Stalled Relaxed op: enabled if the barrier-release escape hatch
+        # can fire (§4.4).
+        return row.barrier_escape and not self._escape_blocks(row, core,
+                                                              home)
 
     def _stores_drained(self, state: _State, core_index: int) -> bool:
         """True when the core has no store still in flight (SC gating)."""
@@ -808,11 +1081,26 @@ class ModelChecker:
         return True
 
     def _delivery_enabled(self, state: _State, msg: _Msg) -> bool:
-        rule = self._delivery_rules[msg.kind]
-        if rule.guard is None:
-            return True
-        ctx = _CheckerContext(self, state, msg, mutate=False)
-        return rule.guard(ctx, msg.fields)
+        dop, rule = self._deliveries[msg.kind]
+        if dop == D_WT_REL:
+            return state.dirs[msg.dst_dir].release_block_reason(
+                msg.fields["meta"]) is None
+        if dop == D_REQ_NOTIFY:
+            return state.dirs[msg.dst_dir].req_notify_block_reason(
+                msg.fields["meta"]) is None
+        if dop == D_TARDIS_STORE:
+            fields = msg.fields
+            return state.seq_committed_by(fields["core"]) >= fields["seq"]
+        if dop == D_SEQ_STORE:
+            fields = msg.fields
+            return (not fields["ordered"]
+                    or state.seq_committed_by(fields["core"])
+                    >= fields["seq"])
+        if dop != D_CALL or rule.guard is None:
+            return True     # the remaining lowered rows are unguarded
+        self._closure(msg.kind)
+        return rule.guard(_CheckerContext(self, state, msg, mutate=False),
+                          msg.fields)
 
     # ------------------------------------------------------------------
     # Transition
@@ -835,10 +1123,8 @@ class ModelChecker:
         dst_core: Optional[int] = None,
         fifo_class: Optional[Tuple[Any, ...]] = None,
     ) -> None:
-        state.network.append(_Msg(
-            seq=state.next_seq, kind=kind, dst_dir=dst_dir, dst_core=dst_core,
-            fields=fields, fifo_class=fifo_class,
-        ))
+        state.network.append(_Msg(state.next_seq, kind, dst_dir, dst_core,
+                                  fields, fifo_class))
         state.next_seq += 1
 
     def _fifo(
@@ -860,36 +1146,35 @@ class ModelChecker:
 
     def _step_core(self, state: _State, core_index: int) -> None:
         core = state.mutable_core(core_index)
-        op = self.programs[core_index][core.pc]
-        ordered = op.ordering.is_release or self.tso
+        op, kind, home, row = self._steps[core_index][core.pc]
 
-        if op.kind is OpKind.COMPUTE:
+        if kind is OpKind.COMPUTE:
             core.pc += 1
             return
-        if op.kind in (OpKind.LOAD, OpKind.LOAD_UNTIL):
-            value = self._read_for_core(state, core_index, op.addr)
+        if kind is OpKind.LOAD or kind is OpKind.LOAD_UNTIL:
+            value = self._read_for_core(state, core_index, op.addr, home)
             if op.register is not None:
                 core.regs[op.register] = value
-            state.events.append(
-                (core_index, core.pc, EventKind.LOAD, op.ordering, op.addr, value)
-            )
+            state.record(
+                (core_index, core.pc, EventKind.LOAD, op.ordering, op.addr,
+                 value))
             core.pc += 1
             return
-        if op.kind is OpKind.FENCE:
+        if kind is OpKind.FENCE:
             # SO/MP/SEQ/Tardis fences carry no directory metadata: they
             # gate in ``_core_enabled`` (SO/SEQ drain their outstanding
             # stores; MP and Tardis order nothing here — Tardis commits
             # strictly in order, so its fences are free) and then simply
             # advance.  Only CORD fences issue barrier Releases below.
-            spec = self._specs[core_index]
-            if not op.ordering.is_release or not spec.fence.barrier_broadcast:
+            if (not op.ordering.is_release
+                    or not self._specs[core_index].fence.barrier_broadcast):
                 core.pc += 1
                 return
             pending = core.cord.pending_directories()
             if not core.fence_issued and pending:
-                release = spec.issue_rule("store", True)
+                release = self._release_rows[core_index]
                 for directory in pending:
-                    self._table_issue(state, core_index, spec, release, None,
+                    self._table_issue(state, core_index, release, None,
                                       directory, barrier=True)
                 core.fence_issued = True
                 return
@@ -897,23 +1182,17 @@ class ModelChecker:
             core.pc += 1
             return
 
-        home = self._home(op.addr)
-        spec = self._specs[core_index]
-        if spec.core_state == "cord" and op.meta.get("via") == "so":
-            spec = self._so_spec  # mixed-mode §4.5: SO's issue rules
-        if op.kind is OpKind.ATOMIC:
-            self._step_atomic(state, core_index, spec, op, home, ordered)
-            return
-
-        rule = spec.issue_rule("store", ordered)
-        if rule.escape == "barrier" and rule.guard(core, home) is not None:
+        if row.barrier_escape and self._guard_blocks(row, core, home):
             # Escape hatch: inject an empty Release barrier (§4.4); the pc
-            # does not advance — the store retries afterwards.
-            self._table_issue(state, core_index, spec,
-                              spec.issue_rule("store", True), None, home,
+            # does not advance — the op retries afterwards.
+            self._table_issue(state, core_index,
+                              self._release_rows[core_index], None, home,
                               barrier=True)
             return
-        self._table_issue(state, core_index, spec, rule, op, home)
+        if kind is OpKind.ATOMIC:
+            self._step_atomic(state, core_index, core, op, home, row)
+            return
+        self._table_issue(state, core_index, row, op, home)
         core.pc += 1
 
     # ------------------------------------------------------------------
@@ -923,51 +1202,94 @@ class ModelChecker:
         self,
         state: _State,
         core_index: int,
-        spec: Any,
-        rule: Any,
+        row: _IssueRow,
         op: Optional[MemOp],
         home: int,
         barrier: bool = False,
     ) -> None:
-        """Run one issue rule's effects and put its emissions on the wire.
+        """Run one issue row's effects and put its emissions on the wire.
 
-        The rule mutates the core's protocol state and returns the ordered
-        :class:`~repro.protocols.spec.Emit` list; emission order fixes
-        message sequence numbers, so it is semantic.
+        The row's action opcode selects an inline expansion of its
+        effect; ``A_CALL`` rows run the closure, which mutates the core's
+        protocol state and returns the ordered
+        :class:`~repro.protocols.spec.Emit` list.  Emission order fixes
+        message sequence numbers, so it is semantic; every opcode keeps
+        the closure's order.
         """
         core = state.mutable_core(core_index)
         proto = self.core_protocols[core_index]
-        emits = rule.effects(core, home, rule.ordered, barrier=barrier)
-        for emit in emits:
-            fields = dict(emit.fields)
-            addr = None
-            if emit.carries_op:
-                if op is not None:
-                    fields["addr"] = op.addr
-                    fields["value"] = op.value
-                    fields["pc"] = core.pc
-                    fields["ordering"] = op.ordering
-                    addr = op.addr
-                fields["core"] = core_index
-            dst = emit.dst_dir if emit.dst_dir is not None else home
-            self._send(state, emit.message, fields, dst_dir=dst,
-                       fifo_class=self._fifo(emit.message, proto,
-                                             core=core_index, addr=addr,
-                                             dst_dir=dst))
-
-    def _step_atomic(self, state: _State, core_index: int, spec: Any,
-                     op: MemOp, home: int, ordered: bool) -> None:
-        """Issue an RMW via the table; the core blocks until the response."""
-        core = state.mutable_core(core_index)
-        proto = self.core_protocols[core_index]
-        rule = spec.issue_rule("atomic", ordered)
-        if rule.escape == "barrier" and rule.guard(core, home) is not None:
-            # §4.4 escape: barrier Release; the RMW retries afterwards.
-            self._table_issue(state, core_index, spec,
-                              spec.issue_rule("store", True), None, home,
-                              barrier=True)
+        aop = row.action_op
+        if aop == A_CORD_RELAXED:
+            fields: Dict[str, Any] = {
+                "meta": core.cord.on_relaxed_store(home)}
+        elif aop == A_CORD_RELEASE:
+            # Alg. 1 lines 5-13: requests-for-notification fan out to
+            # pending directories before the Release goes to its home.
+            issue = core.cord.on_release_store(home, barrier=barrier)
+            notify = row.emits[0]
+            for pending_dir, req_meta in issue.notifications:
+                self._send(state, notify, {"meta": req_meta},
+                           dst_dir=pending_dir,
+                           fifo_class=self._fifo(notify, proto,
+                                                 core=core_index,
+                                                 dst_dir=pending_dir))
+            fields = {"meta": issue.release}
+        elif aop == A_SO_STORE:
+            core.so_outstanding += 1
+            fields = {}
+        elif aop == A_MP_POSTED:
+            fields = {}
+        elif aop == A_SEQ_STORE or aop == A_TARDIS_STORE:
+            seq = core.seq_next
+            core.seq_next = seq + 1
+            core.seq_outstanding += 1
+            fields = {"seq": seq, "ordered": row.ordered}
+        else:
+            self._closure(row.name)
+            for emit in row.rule.effects(core, home, row.ordered,
+                                         barrier=barrier):
+                fields = dict(emit.fields)
+                dst = emit.dst_dir if emit.dst_dir is not None else home
+                if emit.carries_op:
+                    self._send_carrier(state, core_index, core, proto,
+                                       emit.message, fields, op, dst)
+                else:
+                    self._send(state, emit.message, fields, dst_dir=dst,
+                               fifo_class=self._fifo(emit.message, proto,
+                                                     core=core_index,
+                                                     dst_dir=dst))
             return
-        emits = rule.effects(core, home, ordered)
+        self._send_carrier(state, core_index, core, proto, row.emits[-1],
+                           fields, op, home)
+
+    def _send_carrier(self, state: _State, core_index: int,
+                      core: _CoreState, proto: str, kind: str,
+                      fields: Dict[str, Any], op: Optional[MemOp],
+                      dst: int) -> None:
+        """Send an op-carrying emission: the protocol ``fields`` plus the
+        op's address, value, program position and ordering (none for a
+        barrier Release) and the issuing core."""
+        addr = None
+        if op is not None:
+            addr = op.addr
+            fields["addr"] = addr
+            fields["value"] = op.value
+            fields["pc"] = core.pc
+            fields["ordering"] = op.ordering
+        fields["core"] = core_index
+        self._send(state, kind, fields, dst_dir=dst,
+                   fifo_class=self._fifo(kind, proto, core=core_index,
+                                         addr=addr, dst_dir=dst))
+
+    def _step_atomic(self, state: _State, core_index: int,
+                     core: _CoreState, op: MemOp, home: int,
+                     row: _IssueRow) -> None:
+        """Issue an RMW via the table; the core blocks until the response."""
+        proto = self.core_protocols[core_index]
+        # No shipped atomic row has an action opcode: RMW issue is rare
+        # and stays on the closure path.
+        self._closure(row.name)
+        emits = row.rule.effects(core, home, row.ordered)
         base = {
             "addr": op.addr, "value": op.value, "core": core_index,
             "pc": core.pc, "ordering": op.ordering,
@@ -998,7 +1320,7 @@ class ModelChecker:
         new = fields["atomic"].apply(old, fields["value"],
                                      fields.get("compare"))
         values[fields["addr"]] = new
-        state.events.append((
+        state.record((
             fields["core"], fields["pc"], EventKind.STORE,
             fields["ordering"], fields["addr"], new,
         ))
@@ -1006,40 +1328,120 @@ class ModelChecker:
             "old": old, "register": fields.get("register"),
         }, dst_core=fields["core"])
 
+    def _ack_release(self, state: _State, directory: int, meta: Any) -> None:
+        self._send(state, "rel_ack", {"dir": directory, "epoch": meta.epoch},
+                   dst_core=meta.proc, fifo_class=self._fifo("rel_ack", None))
+
     def _deliver(self, state: _State, msg: _Msg) -> None:
-        # The same DeliveryRule the timed interpreter dispatches, run
-        # against _State via _CheckerContext.
-        self._delivery_rules[msg.kind].effects(
-            _CheckerContext(self, state, msg, mutate=True), msg.fields)
+        """Consume ``msg``: the delivery row's opcode selects an inline
+        expansion of the table effect (same mutations, same emission
+        order); ``D_CALL`` rows run the closure against
+        :class:`_CheckerContext`."""
+        dop, rule = self._deliveries[msg.kind]
+        fields = msg.fields
+        if dop == D_WT_RLX:
+            state.commit(msg.dst_dir, fields)
+            state.mutable_dir(msg.dst_dir).on_relaxed(fields["meta"])
+        elif dop == D_WT_REL:
+            # Alg. 2 Release commit: directory state first, then the
+            # value/RMW, then the epoch acknowledgment.
+            meta = fields["meta"]
+            state.mutable_dir(msg.dst_dir).commit_release(meta)
+            if "atomic" in fields:
+                self._perform_atomic(state, msg)
+            elif not meta.barrier:
+                state.commit(msg.dst_dir, fields)
+            self._ack_release(state, msg.dst_dir, meta)
+        elif dop == D_NOTIFY:
+            state.mutable_dir(msg.dst_dir).on_notify(fields["meta"])
+        elif dop == D_REL_ACK:
+            state.mutable_core(msg.dst_core).cord.on_release_ack(
+                fields["dir"], fields["epoch"])
+        elif dop == D_REQ_NOTIFY:
+            meta = fields["meta"]
+            notify = state.mutable_dir(msg.dst_dir).consume_req_notify(meta)
+            self._send(state, "notify", {"meta": notify},
+                       dst_dir=meta.noti_dst,
+                       fifo_class=self._fifo("notify", None))
+        elif dop == D_WT_STORE:
+            state.commit(msg.dst_dir, fields)
+            self._send(state, "so_ack", {}, dst_core=fields["core"],
+                       fifo_class=self._fifo("so_ack", None))
+        elif dop == D_SO_ACK:
+            state.mutable_core(msg.dst_core).so_outstanding -= 1
+        elif dop == D_SEQ_STORE or dop == D_TARDIS_STORE:
+            state.commit(msg.dst_dir, fields)
+            state.seq_commit(msg.dst_dir, fields["core"])
+        elif dop == D_POSTED:
+            state.commit(msg.dst_dir, fields)
+        else:
+            self._closure(msg.kind)
+            rule.effects(_CheckerContext(self, state, msg, mutate=True),
+                         fields)
 
     # ------------------------------------------------------------------
     # Exploration
     # ------------------------------------------------------------------
     def _key(self, state: _State) -> Tuple:
         """Visited-set key: only what can differ between two states of
-        this run (component positions stand in for their ids)."""
-        messages = sorted(
-            zip(state.network, _fifo_ranks(state.network)),
-            key=lambda pair: (pair[0].kind, str(pair[0].dst_dir),
-                              str(pair[0].dst_core), pair[0].seq),
-        )
-        return (
-            tuple(
-                (c.pc, tuple(sorted(c.regs.items())),
-                 _freeze_cached(c.cord) if c.cord else None,
-                 c.so_outstanding, c.fence_issued, c.blocked,
-                 c.seq_next, c.seq_outstanding)
-                for c in state.cores
-            ),
-            tuple(_freeze_cached(d) for d in state.dirs),
-            tuple(tuple(sorted(v.items())) for v in state.values),
-            tuple(sorted(state.seq_committed.items())),
-            tuple(
-                (m.kind, m.dst_dir, m.dst_core, m.frozen_fields(), m.fifo_class,
-                 rank)  # relative FIFO order, not absolute seq
-                for m, rank in messages
-            ),
-        )
+        this run (component positions stand in for their ids).
+
+        Fragments of components no ``mutable_*`` accessor touched since
+        they were keyed are reused as they are (see :class:`_State`)."""
+        dirty = state.dirty_cores
+        if dirty:
+            keys = list(state.core_keys)
+            while dirty:
+                low = dirty & -dirty
+                index = low.bit_length() - 1
+                core = state.cores[index]
+                keys[index] = (
+                    core.pc, tuple(sorted(core.regs.items())),
+                    core.cord.checker_key() if core.cord is not None
+                    else None,
+                    core.so_outstanding, core.fence_issued, core.blocked,
+                    core.seq_next, core.seq_outstanding)
+                dirty ^= low
+            state.core_keys = tuple(keys)
+            state.dirty_cores = 0
+        dirty = state.dirty_dirs
+        if dirty:
+            keys = list(state.dir_keys)
+            while dirty:
+                low = dirty & -dirty
+                index = low.bit_length() - 1
+                keys[index] = state.dirs[index].checker_key()
+                dirty ^= low
+            state.dir_keys = tuple(keys)
+            state.dirty_dirs = 0
+        dirty = state.dirty_values
+        if dirty:
+            keys = list(state.value_keys)
+            while dirty:
+                low = dirty & -dirty
+                index = low.bit_length() - 1
+                keys[index] = tuple(sorted(state.values[index].items()))
+                dirty ^= low
+            state.value_keys = tuple(keys)
+            state.dirty_values = 0
+        # Messages in (kind, destination, send) order, each with its rank
+        # within its FIFO class (``None`` included): relative FIFO order,
+        # not absolute ``seq``.  One pass ranks them because ``network``
+        # is in send order.
+        messages: Tuple[Any, ...] = ()
+        if state.network:
+            sent: Dict[Optional[Tuple[Any, ...]], int] = {}
+            flight = []
+            for msg in state.network:
+                fifo = msg.fifo_class
+                rank = sent.get(fifo, 0)
+                sent[fifo] = rank + 1
+                flight.append((msg.order, msg.entry, rank))
+            flight.sort()
+            messages = tuple([(entry, rank)
+                              for _order, entry, rank in flight])
+        return (state.core_keys, state.dir_keys, state.value_keys,
+                state.seq_key, messages)
 
     def _is_final(self, state: _State) -> bool:
         return (
@@ -1089,12 +1491,8 @@ class ModelChecker:
                       finals: Dict[Tuple, FinalState]) -> None:
         """Record a terminal state's outcome, validating its history
         against the axiomatic RC checker the first time it is seen."""
-        memory = {
-            "mem:" + loc: self._read(
-                state, self.test.resolve_address(self.config, loc)
-            )
-            for loc in self.test.locations
-        }
+        memory = {"mem:" + loc: self._read(state, addr)
+                  for loc, addr in self._locations.items()}
         outcome_key = _freeze(dict(
             {"P{}:{}".format(i, r): v
              for i, c in enumerate(state.cores)
@@ -1112,6 +1510,7 @@ class ModelChecker:
     def run(self) -> CheckResult:
         """Exhaustively explore; returns all distinct final outcomes."""
         started = time.perf_counter()
+        self.closure_calls = {}
         initial = self._initial()
         visited = {self._key(initial)}
         stack = [initial]
@@ -1168,6 +1567,7 @@ class ModelChecker:
                                  if transitions else 0.0),
             "peak_frontier": float(peak_frontier),
             "ample_pruned": float(ample_pruned),
+            "closure_calls": float(sum(self.closure_calls.values())),
             "wall_s": elapsed,
             "states_per_sec": explored / elapsed if elapsed > 0 else 0.0,
         }
@@ -1203,6 +1603,8 @@ class ModelChecker:
             run_stats["visited_hits"])
         self.stats.counter("modelcheck.ample_pruned").add(
             run_stats["ample_pruned"])
+        self.stats.counter("modelcheck.closure_calls").add(
+            run_stats["closure_calls"])
         self.stats.counter("modelcheck.wall_s").add(run_stats["wall_s"])
         self.stats.max_tracker("modelcheck.frontier").set(
             run_stats["peak_frontier"])

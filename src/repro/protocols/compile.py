@@ -26,14 +26,21 @@ any actor is built, so the int-coded fast paths never run against a
 structurally ambiguous table (e.g. an undeclared barrier carrier — the
 ``_carrier_info`` ordering-assumption bug this PR fixes).
 
-Setting ``REPRO_INTERPRETED_TABLES=1`` makes the interpreter ignore the
+Both interpreters dispatch on these rows: the timed one through
+:mod:`repro.protocols.table` (rows by wire ``msg_type``), the model
+checker through :class:`~repro.litmus.model_checker.ModelChecker` (rows
+by canonical message name, :attr:`CompiledProtocol.delivery`).
+
+Setting ``REPRO_INTERPRETED_TABLES=1`` makes both interpreters ignore the
 opcodes and run every row through the original closures — the
 compiled-vs-interpreted differential seam used by
-``tests/protocols/test_compile.py``.
+``tests/protocols/test_compile.py`` and
+``tests/litmus/test_checker_dispatch.py``.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -54,9 +61,11 @@ __all__ = [
     "CompiledDelivery",
     "CompiledProtocol",
     "compile_spec",
+    "interpreted_tables_enabled",
+    "INTERPRETED_ENV",
     # guard opcodes
     "G_CALL", "G_TRUE", "G_SO_OUTSTANDING", "G_CORD_RELEASE",
-    "G_CORD_RELAXED", "G_SEQ_WINDOW",
+    "G_CORD_RELAXED", "G_SEQ_WINDOW", "G_CORD_BARRIER",
     # action opcodes
     "A_CALL", "A_SO_STORE", "A_CORD_RELAXED", "A_CORD_RELEASE",
     "A_SEQ_STORE", "A_MP_POSTED", "A_TARDIS_STORE",
@@ -65,6 +74,20 @@ __all__ = [
     "D_REQ_NOTIFY", "D_NOTIFY", "D_REL_ACK", "D_SEQ_STORE", "D_SEQ_FLUSH",
     "D_SEQ_FLUSH_ACK", "D_POSTED", "D_TARDIS_STORE",
 ]
+
+
+#: Environment toggle: run the compiled tables through the original
+#: guard/action closures instead of the int-coded fast paths, in both
+#: interpreters (the compiled-vs-interpreted differential seam; also
+#: mixed into the executor's cache key).
+INTERPRETED_ENV = "REPRO_INTERPRETED_TABLES"
+
+
+def interpreted_tables_enabled() -> bool:
+    """Whether ``REPRO_INTERPRETED_TABLES`` disables compiled dispatch."""
+    return os.environ.get(INTERPRETED_ENV, "").strip().lower() in (
+        "1", "true", "yes", "on"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +99,9 @@ G_TRUE = 1            # guard statically always passes (SO relaxed, MP)
 G_SO_OUTSTANDING = 2  # ps.so_outstanding > 0
 G_CORD_RELEASE = 3    # §4.3 release-table bound (+ SO source order)
 G_CORD_RELAXED = 4    # relaxed_stall_reason
-G_SEQ_WINDOW = 5      # issued-since-flush watermark (timed form)
+G_SEQ_WINDOW = 5      # SEQ window: timed_guard's issued-since-flush
+                      # watermark (timed), guard's uncommitted bound (checker)
+G_CORD_BARRIER = 6    # §4.4 barrier-escape bound: release_stall_reason
 
 # Action opcodes: what issuing emits.  A_CALL = run rule.effects.
 A_CALL = 0
@@ -156,6 +181,12 @@ def _guard_opcode(rule: IssueRule) -> int:
     return G_CALL
 
 
+def _escape_opcode(rule: IssueRule) -> int:
+    if rule.escape_guard is _spec_mod._cord_barrier_escape_guard:
+        return G_CORD_BARRIER
+    return G_CALL
+
+
 def _action_opcode(rule: IssueRule) -> int:
     return _known_actions().get(rule.effects, A_CALL)
 
@@ -218,6 +249,8 @@ class CompiledIssue:
     timed_guard: Any = None
     escape_guard: Any = None
     combining: bool = False
+    #: Opcode of ``escape_guard`` (``G_CALL`` when the row has none).
+    escape_op: int = G_CALL
 
 
 @dataclass(frozen=True)
@@ -249,6 +282,10 @@ class CompiledProtocol:
     core_wire: Mapping[str, CompiledDelivery]
     values_carriers: frozenset
     barrier_carrier: Optional[str]
+    #: Every delivery row by canonical message name (the checker's view;
+    #: it also reaches ``atomic_resp``, whose wire name the timed
+    #: interpreter leaves to the base-class load path).
+    delivery: Mapping[str, CompiledDelivery]
 
     def message(self, name: str) -> CompiledMessage:
         return self.messages[self.msg_id[name]]
@@ -344,12 +381,14 @@ def compile_spec(spec: ProtocolSpec) -> CompiledProtocol:
             timed_guard=rule.timed_guard,
             escape_guard=rule.escape_guard,
             combining=rule.combining,
+            escape_op=_escape_opcode(rule),
         )
 
     retry = frozenset(spec.retry_order)
     progress = frozenset(spec.progress_on)
     dir_wire: Dict[str, CompiledDelivery] = {}
     core_wire: Dict[str, CompiledDelivery] = {}
+    delivery: Dict[str, CompiledDelivery] = {}
     for name, rule in spec.delivery.items():
         message = messages[msg_id[name]]
         row = CompiledDelivery(
@@ -361,6 +400,7 @@ def compile_spec(spec: ProtocolSpec) -> CompiledProtocol:
             retry=name in retry,
             progress=name in progress,
         )
+        delivery[name] = row
         if rule.core_side:
             if message.wire_name != "load_resp":
                 core_wire[message.wire_name] = row
@@ -376,6 +416,7 @@ def compile_spec(spec: ProtocolSpec) -> CompiledProtocol:
         core_wire=core_wire,
         values_carriers=frozenset(values_carriers),
         barrier_carrier=barrier_carrier,
+        delivery=delivery,
     )
     _COMPILE_CACHE[spec.name] = compiled
     return compiled

@@ -22,7 +22,6 @@ commits machine-wide and drains on release fences, as the checker does
 
 from __future__ import annotations
 
-import os
 from typing import (Any, Callable, Dict, Generator, List, Mapping, Optional,
                     Tuple, Type)
 
@@ -54,7 +53,9 @@ from repro.protocols.compile import (
     D_WT_RLX,
     D_WT_STORE,
     G_CORD_RELAXED,
+    INTERPRETED_ENV,
     compile_spec,
+    interpreted_tables_enabled,
 )
 from repro.protocols.spec import (
     TARDIS_LEASE,
@@ -67,20 +68,6 @@ from repro.protocols.spec import (
 __all__ = ["TableCorePort", "TableDirectory", "SeqCommitBoard",
            "make_table_protocol", "table_protocol_classes",
            "interpreted_tables_enabled", "INTERPRETED_ENV"]
-
-
-#: Environment toggle: run the compiled tables through the original
-#: guard/action closures instead of the int-coded fast paths (the
-#: compiled-vs-interpreted differential seam; also mixed into the
-#: executor's cache key).
-INTERPRETED_ENV = "REPRO_INTERPRETED_TABLES"
-
-
-def interpreted_tables_enabled() -> bool:
-    """Whether ``REPRO_INTERPRETED_TABLES`` disables compiled dispatch."""
-    return os.environ.get(INTERPRETED_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for the model checker's scalability machinery.
 
-Covers the incremental (copy-on-write) state cloning, the freeze
+Covers the incremental (copy-on-write) state cloning, the key-fragment
 memoization, the ``__slots__``-hardened canonicalizer, the partial-order
 reduction (differentially against unreduced exploration), and the
 exploration statistics.
@@ -89,23 +89,19 @@ class TestIncrementalCloning:
         ("cord", ISA2), ("so", ISA2), ("mp", ISA2), ("seq8", MP),
     ])
     def test_cow_clone_matches_deepcopy(self, monkeypatch, protocol, test):
-        """Swapping the COW clone back to ``copy.deepcopy`` (memos cleared,
-        since a deep copy would otherwise carry stale frozen forms) must
+        """Swapping the COW clone back to ``copy.deepcopy`` (every key
+        fragment marked stale, so each state is keyed from scratch) must
         not change any verdict."""
         incremental = ModelChecker(test, protocol).run()
 
         def deep_clone(state):
             new = copy.deepcopy(state)
-            for core in new.cores:
-                if core.cord is not None:
-                    core.cord.__dict__.pop("_frozen_memo", None)
-            for directory in new.dirs:
-                directory.__dict__.pop("_frozen_memo", None)
+            new.dirty_cores = (1 << len(new.cores)) - 1
+            new.dirty_dirs = (1 << len(new.dirs)) - 1
+            new.dirty_values = (1 << len(new.values)) - 1
             return new
 
         monkeypatch.setattr(mc._State, "clone", deep_clone)
-        monkeypatch.setattr(mc, "_freeze_cached",
-                            lambda component: component.checker_key())
         reference = ModelChecker(test, protocol).run()
         assert _verdict(incremental) == _verdict(reference)
         assert incremental.states_explored == reference.states_explored
@@ -166,16 +162,6 @@ class _SlottedChild(_SlottedPair):
         self.z = z
 
 
-class _SlottedComponent:
-    __slots__ = ("epoch",)
-
-    def __init__(self, epoch):
-        self.epoch = epoch
-
-    def checker_key(self):
-        return (self.epoch,)
-
-
 class TestFreeze:
     def test_freeze_slots_only_object(self):
         frozen = mc._freeze(_SlottedPair(1, 2))
@@ -200,28 +186,23 @@ class TestFreeze:
         assert mc._freeze(Point(1, 2)) == mc._freeze(Point(1, 2))
         assert mc._freeze(Point(1, 2)) != mc._freeze(Point(2, 1))
 
-    def test_freeze_cached_on_slots_object_recomputes(self):
-        component = _SlottedComponent(1)
-        assert mc._freeze_cached(component) == (1,)
-        assert not hasattr(component, "_frozen_memo")
-        component.epoch = 2
-        assert mc._freeze_cached(component) == (2,)
-
-    def test_freeze_cached_memo_invisible_and_mutation_safe(self):
-        from repro.config import CordConfig
-        from repro.core.processor import CordProcessorState
-
-        proc = CordProcessorState(0, CordConfig())
-        plain = proc.checker_key()
-        cached = mc._freeze_cached(proc)
-        assert cached == plain
-        # The memo attribute itself must not leak into later keys.
-        assert proc.checker_key() == plain
-        # Clones drop the memo, so a mutated clone freezes fresh.
-        twin = proc.clone()
-        twin.on_relaxed_store(0)
-        assert mc._freeze_cached(twin) != cached
-        assert mc._freeze_cached(proc) == cached
+    def test_key_memo_invisible_and_mutation_safe(self):
+        checker = ModelChecker(ISA2, "cord")
+        state = checker._initial()
+        key = checker._key(state)
+        # Keying again reuses the memo and changes nothing.
+        assert checker._key(state) == key
+        # A clone shares the memo until a mutable_* accessor touches a
+        # component; then only that component's fragment is rebuilt.
+        twin = state.clone()
+        assert checker._key(twin) == key
+        twin = state.clone()
+        twin.mutable_core(0).cord.on_relaxed_store(0)
+        twin_key = checker._key(twin)
+        assert twin_key != key
+        assert twin_key[0][1:] == key[0][1:]
+        assert twin_key[1:] == key[1:]
+        assert checker._key(state) == key
 
 
 # ---------------------------------------------------------------------------

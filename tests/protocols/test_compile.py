@@ -30,6 +30,7 @@ from repro.protocols.compile import (
     A_MP_POSTED,
     A_SEQ_STORE,
     A_SO_STORE,
+    D_CALL,
     D_NOTIFY,
     D_POSTED,
     D_REL_ACK,
@@ -41,6 +42,8 @@ from repro.protocols.compile import (
     D_WT_REL,
     D_WT_RLX,
     D_WT_STORE,
+    G_CALL,
+    G_CORD_BARRIER,
     G_CORD_RELAXED,
     G_CORD_RELEASE,
     G_SEQ_WINDOW,
@@ -154,6 +157,13 @@ class TestLowering:
         assert c.dir_wire[wire("req_notify")].op == D_REQ_NOTIFY
         assert c.dir_wire[wire("notify")].op == D_NOTIFY
         assert c.core_wire[wire("rel_ack")].op == D_REL_ACK
+        # The checker's view: the §4.4 escape guard and rows by name,
+        # including the core-side RMW response the timed port handles
+        # on its load path.
+        assert relaxed.escape_op == G_CORD_BARRIER
+        assert release.escape_op == G_CALL
+        assert c.delivery["wt_rel"] is c.dir_wire[wire("wt_rel")]
+        assert c.delivery["atomic_resp"].op == D_CALL
 
     def test_mp_rows(self):
         c = compile_spec(get_spec("mp"))
